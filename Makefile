@@ -9,8 +9,11 @@ all: fmt vet build test
 build:
 	$(GO) build ./...
 
+# bench/ is its own Go module, so ./... never reaches it; vet and short-test
+# it separately, since it compiles against most of internal/.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...

@@ -17,6 +17,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/guard"
 	"repro/internal/nn"
 	"repro/internal/pipa"
 	"repro/internal/qgen"
@@ -459,8 +460,9 @@ func BenchmarkQGenEvaluate(b *testing.B) {
 }
 
 // BenchmarkDefenseAblation measures the sanitizer's effect: the same PIPA
-// attack against an undefended and a defense-wrapped advisor (extension
-// beyond the paper; see internal/defense).
+// attack against an undefended advisor and one behind a guard.Trainer with
+// the sanitizer as its screener (extension beyond the paper; see
+// internal/defense and internal/guard).
 func BenchmarkDefenseAblation(b *testing.B) {
 	st := tinySetup.Tester()
 	for i := 0; i < b.N; i++ {
@@ -474,7 +476,14 @@ func BenchmarkDefenseAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		guarded := defense.NewRobust(inner, tinySetup.WhatIf, w)
+		guarded, err := guard.NewTrainer(inner, guard.Config{
+			Screener: defense.NewSanitizer(tinySetup.WhatIf, w),
+			Canary:   tinySetup.CanaryWorkload(i),
+			Eval:     tinySetup.WhatIf,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		resDef := st.StressTest(context.Background(), guarded, pipa.PIPAInjector{Tester: st}, w, tinySetup.PipaCfg.Na)
 		_ = res
 		_ = resDef

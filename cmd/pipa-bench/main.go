@@ -64,7 +64,7 @@ func main() {
 	faults := flag.Float64("faults", 0, "fault-rate ceiling for the faultsweep ladder (0 = default ladder for -exp faultsweep, skip it under -exp all)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for every fault decision; fixed seed = byte-identical sweeps at any -workers")
 	checkpoint := flag.String("checkpoint", "", "journal completed experiment cells to this file and resume from it on restart")
-	report := flag.String("report", "", "write a JSON run report (phases, spans, metrics) to this path")
+	report := flag.String("report", "", "write a JSON run report (phases, traces, metrics) to this path")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /metrics.json and /report on this address (e.g. :8080)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (plus the metrics endpoints) on this address")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
@@ -176,11 +176,18 @@ func main() {
 		setup.Journal = j
 	}
 
+	// Each experiment runs under its own trace; the finished trace goes to
+	// the flight recorder, which retains it when a report or the live
+	// endpoints will read it.
+	if *report != "" || *metricsAddr != "" || *pprofAddr != "" {
+		obs.Default.Flight.SetRecordAll(true)
+	}
 	want := func(id string) bool { return *exp == "all" || *exp == id }
-	run := func(id string, f func() (fmt.Stringer, error)) {
-		span := obs.StartSpan("experiment:" + id)
-		r, err := f()
-		span.End()
+	run := func(id string, f func(ctx context.Context) (fmt.Stringer, error)) {
+		tr := obs.NewTrace("experiment:"+id, nil)
+		r, err := f(obs.ContextWithSpan(ctx, tr.Root()))
+		tr.End()
+		obs.Default.Flight.Observe(tr)
 		if errors.Is(err, context.Canceled) {
 			olog.Warn(nil, "interrupted")
 			if setup.Journal != nil {
@@ -196,13 +203,15 @@ func main() {
 	}
 
 	if want("fig1") {
-		run("fig1", func() (fmt.Stringer, error) { return experiments.RunMotivation(ctx, setup) })
+		run("fig1", func(ctx context.Context) (fmt.Stringer, error) { return experiments.RunMotivation(ctx, setup) })
 	}
 	if want("fig7") || want("table1") {
-		run("fig7", func() (fmt.Stringer, error) { return experiments.RunMainResult(ctx, setup, advisorList) })
+		run("fig7", func(ctx context.Context) (fmt.Stringer, error) {
+			return experiments.RunMainResult(ctx, setup, advisorList)
+		})
 	}
 	if want("fig8") {
-		run("fig8", func() (fmt.Stringer, error) { return experiments.RunCaseStudies(ctx, setup) })
+		run("fig8", func(ctx context.Context) (fmt.Stringer, error) { return experiments.RunCaseStudies(ctx, setup) })
 	}
 	if want("fig9") || want("table2") {
 		omegas := []float64{0.01, 0.1, 1, 10, 100}
@@ -210,26 +219,26 @@ func main() {
 		if !*full {
 			na = 36
 		}
-		run("fig9", func() (fmt.Stringer, error) {
+		run("fig9", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunInjectionSize(ctx, setup, advisorList, omegas, na)
 		})
 	}
 	if want("fig10") {
-		run("fig10", func() (fmt.Stringer, error) {
+		run("fig10", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunBoundaries(ctx, setup, "DQN-b",
 				[]int{2, 3, 4, 5, 6, 7},
 				[]float64{1.0 / 8, 1.0 / 4, 3.0 / 8, 1.0 / 2, 3.0 / 4, 7.0 / 8})
 		})
 	}
 	if want("fig11") {
-		run("fig11", func() (fmt.Stringer, error) {
+		run("fig11", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunProbingEpochs(ctx, setup, []string{"DQN-b", "SWIRL"}, []int{0, 2, 4, 8, 12, 16, 20})
 		})
 	}
 	if want("fig12") {
 		n := float64(setup.Schema.NumColumns())
 		betas := []float64{0, 1 / (20 + n), 1 / (10 + n), 1 / (5 + n), 1 / (2 + n), 1 / (4.0/3 + n)}
-		run("fig12", func() (fmt.Stringer, error) {
+		run("fig12", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunProbingParams(ctx, setup, "DQN-b",
 				[]float64{0.01, 0.05, 0.1, 0.5, 1, 10}, betas)
 		})
@@ -238,7 +247,7 @@ func main() {
 	// is included only when -faults sets a ladder ceiling, so the default
 	// "all" stays fault-free.
 	if *exp == "faultsweep" || (*exp == "all" && *faults > 0) {
-		run("faultsweep", func() (fmt.Stringer, error) {
+		run("faultsweep", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunFaultSweep(ctx, setup, advisorList[0], nil)
 		})
 	}
@@ -246,7 +255,7 @@ func main() {
 	// it replays GuardEpochs updates per cell on top of the usual training, so
 	// the default "all" stays at the paper's original protocol.
 	if *exp == "guardsweep" {
-		run("guardsweep", func() (fmt.Stringer, error) {
+		run("guardsweep", func(ctx context.Context) (fmt.Stringer, error) {
 			return experiments.RunGuardSweep(ctx, setup, advisorList[0], nil)
 		})
 	}
@@ -257,7 +266,7 @@ func main() {
 	if *exp == "defensesweep" {
 		for _, name := range advisorList {
 			name := name
-			run("defensesweep:"+name, func() (fmt.Stringer, error) {
+			run("defensesweep:"+name, func(ctx context.Context) (fmt.Stringer, error) {
 				return experiments.RunDefenseSweep(ctx, setup, name, nil, nil)
 			})
 		}
@@ -269,7 +278,7 @@ func main() {
 	if *exp == "attackzoo" {
 		for _, name := range advisorList {
 			name := name
-			run("attackzoo:"+name, func() (fmt.Stringer, error) {
+			run("attackzoo:"+name, func(ctx context.Context) (fmt.Stringer, error) {
 				return experiments.RunAttackZoo(ctx, setup, name, nil, injectorList)
 			})
 		}
@@ -279,7 +288,7 @@ func main() {
 		if *full {
 			n = 1000 // the paper's N
 		}
-		run("table3", func() (fmt.Stringer, error) { return experiments.RunGeneratorQuality(ctx, setup, n) })
+		run("table3", func(ctx context.Context) (fmt.Stringer, error) { return experiments.RunGeneratorQuality(ctx, setup, n) })
 	}
 
 	// The attack-zoo results contract is byte-identical stdout at any -workers

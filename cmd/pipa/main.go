@@ -59,7 +59,7 @@ func main() {
 	faults := flag.Float64("faults", 0, "fault rate degrading the attacker's cost oracle (0 disables the chaos layer)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for every fault decision; fixed seed = byte-identical faults at any -workers")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this file and resume from it on restart")
-	report := flag.String("report", "", "write a JSON run report (phases, spans, metrics) to this path")
+	report := flag.String("report", "", "write a JSON run report (phases, traces, metrics) to this path")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /metrics.json and /report on this address")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (plus the metrics endpoints) on this address")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
@@ -142,9 +142,16 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The whole grid runs under one trace, handed to the flight recorder when
+	// it finishes; it is retained when a report or the live endpoints read it.
+	if *report != "" || *metricsAddr != "" || *pprofAddr != "" {
+		obs.Default.Flight.SetRecordAll(true)
+	}
+	tr := obs.NewTrace("experiment:pipa", nil)
+
 	// Runs are independent (each derives its RNGs from the run index), so
 	// they fan out through a pool and print in run order afterwards.
-	results, err := par.MapCtx(ctx, par.New("pipa_runs", *workers), *runs, func(ctx context.Context, run int) (runCell, error) {
+	results, err := par.MapCtx(obs.ContextWithSpan(ctx, tr.Root()), par.New("pipa_runs", *workers), *runs, func(ctx context.Context, run int) (runCell, error) {
 		key := fmt.Sprintf("pipa/%s/%s/run=%d", *advisorName, *injector, run)
 		var c runCell
 		if journal != nil && journal.Lookup(key, &c) {
@@ -157,7 +164,9 @@ func main() {
 			tester = setup.FaultTester(*faults, int64(run))
 		}
 		w := setup.NormalWorkload(run)
+		_, span := obs.StartSpanCtx(ctx, "train:"+*advisorName)
 		ia, err := setup.TrainAdvisor(*advisorName, run, w)
+		span.End()
 		if err != nil {
 			return runCell{}, err
 		}
@@ -213,6 +222,8 @@ func main() {
 		}
 		return c, nil
 	})
+	tr.End()
+	obs.Default.Flight.Observe(tr)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			olog.Warn(nil, "interrupted")

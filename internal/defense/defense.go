@@ -1,17 +1,19 @@
 // Package defense implements DBA-side mitigations against workload
 // poisoning, the deployment guidance the paper's study is meant to enable
 // (§1: the investigation "facilitates the DBAs to deploy a more robust
-// learning-based IA"). Two composable pieces are provided:
+// learning-based IA"). A Screener splits an incoming training batch into
+// the queries safe to learn from and a Report of the dropped ones:
 //
-//   - Sanitizer screens a training workload before a model update, flagging
-//     queries whose indexing behavior is anomalous relative to a trusted
-//     reference workload — the signature PIPA's toxic queries necessarily
-//     carry (optimized by columns the reference workload never rewards).
-//   - Robust wraps any advisor.Advisor so that every Retrain passes through
-//     the sanitizer first.
+//   - Sanitizer flags queries whose indexing behavior is anomalous relative
+//     to a trusted reference workload — the signature PIPA's toxic queries
+//     necessarily carry (optimized by columns the reference workload never
+//     rewards);
+//   - defense/trim fits the advisor robustly and drops high-loss queries;
+//   - Chain stacks screeners.
 //
-// The defense is evaluated by the BenchmarkDefenseAblation bench and the
-// robust_training example.
+// A screener defends an advisor through guard.Config.Screener, which runs it
+// before every guarded update (DESIGN.md §13.3). ScreenCleanWith measures a
+// screener's false positives on vouched-clean traffic.
 package defense
 
 import (
@@ -19,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/advisor"
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/qgen"
@@ -176,14 +177,6 @@ func (s *Sanitizer) Screen(incoming *workload.Workload) (*workload.Workload, *Re
 	return kept, report
 }
 
-// ScreenClean screens a workload the caller knows to be clean and reports
-// the result; every drop is by definition a false positive and is counted on
-// defense_clean_dropped_total. The screened workload is discarded — this is
-// a measurement of the sanitizer, not a sanitization.
-func (s *Sanitizer) ScreenClean(clean *workload.Workload) *Report {
-	return ScreenCleanWith(s, clean)
-}
-
 // suspicious applies the two anomaly tests to one query.
 func (s *Sanitizer) suspicious(q *sql.Query) (string, bool) {
 	opt, reduction, ok := qgen.OptimalSingleColumn(s.WhatIf, q)
@@ -200,47 +193,4 @@ func (s *Sanitizer) suspicious(q *sql.Query) (string, bool) {
 		return "untrusted-optimal-column", true
 	}
 	return "", false
-}
-
-// Robust wraps an advisor so that every retraining input is sanitized
-// against the last trusted workload. It implements advisor.Advisor.
-type Robust struct {
-	Inner     advisor.Advisor
-	Sanitizer *Sanitizer
-	// LastReport records the most recent screening outcome.
-	LastReport *Report
-}
-
-// NewRobust wraps inner; the reference is the advisor's initial (trusted)
-// training workload.
-func NewRobust(inner advisor.Advisor, w *cost.WhatIf, trusted *workload.Workload) *Robust {
-	return &Robust{Inner: inner, Sanitizer: NewSanitizer(w, trusted)}
-}
-
-// Name implements advisor.Advisor.
-func (r *Robust) Name() string { return r.Inner.Name() + "+defense" }
-
-// TrialBased implements advisor.Advisor.
-func (r *Robust) TrialBased() bool { return r.Inner.TrialBased() }
-
-// Train trains the inner advisor and refreshes the trusted reference.
-func (r *Robust) Train(w *workload.Workload) {
-	r.Inner.Train(w)
-	r.Sanitizer.Reference = w
-	r.Sanitizer.rebuild()
-}
-
-// Retrain screens the new training set before updating the inner advisor.
-func (r *Robust) Retrain(w *workload.Workload) {
-	clean, report := r.Sanitizer.Screen(w)
-	r.LastReport = report
-	if clean.Len() == 0 {
-		return // nothing trustworthy: skip the update entirely
-	}
-	r.Inner.Retrain(clean)
-}
-
-// Recommend implements advisor.Advisor.
-func (r *Robust) Recommend(w *workload.Workload) []cost.Index {
-	return r.Inner.Recommend(w)
 }

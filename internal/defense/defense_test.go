@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/advisor"
-	"repro/internal/advisor/registry"
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/obs"
@@ -31,14 +30,6 @@ func setup(t *testing.T) (*advisor.Env, *workload.Workload, *pipa.StressTester) 
 	opts.CorpusSize = 80
 	gen := qgen.TrainIABART(qgen.NewFSM(s), w, nil, opts, 3)
 	return env, nw, pipa.NewStressTester(s, w, gen, cfg)
-}
-
-func fastCfg() advisor.Config {
-	cfg := advisor.DefaultConfig()
-	cfg.Trajectories = 30
-	cfg.InferTrajectories = 10
-	cfg.Hidden = 32
-	return cfg
 }
 
 func TestSanitizerKeepsNormalQueries(t *testing.T) {
@@ -100,34 +91,6 @@ func TestSanitizerAlwaysKeepsReferenceQueries(t *testing.T) {
 	kept, report := san.Screen(nw)
 	if kept.Len() != nw.Len() || report.Dropped != 0 {
 		t.Errorf("reference queries dropped: %s", report)
-	}
-}
-
-func TestRobustWrapper(t *testing.T) {
-	env, nw, st := setup(t)
-	ia, err := registry.New("DQN-b", env, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRobust(ia, env.WhatIf, nw)
-	if r.Name() != "DQN-b+defense" {
-		t.Errorf("Name = %q", r.Name())
-	}
-	if r.TrialBased() != ia.TrialBased() {
-		t.Error("TrialBased not delegated")
-	}
-	r.Train(nw)
-	// Poisoned retraining through the wrapper screens the merged set.
-	tw := pipa.PIPAInjector{Tester: st}.BuildInjection(context.Background(), r, 12)
-	r.Retrain(nw.Merge(tw))
-	if r.LastReport == nil {
-		t.Fatal("no screening report recorded")
-	}
-	if r.LastReport.Kept < nw.Len() {
-		t.Errorf("defense dropped normal queries: %s", r.LastReport)
-	}
-	if idx := r.Recommend(nw); len(idx) == 0 {
-		t.Error("no recommendation after defended retrain")
 	}
 }
 
@@ -212,84 +175,21 @@ func TestSanitizerSingleQueryWorkload(t *testing.T) {
 	}
 }
 
-// TestRobustRetrainAllPoisoned: when the sanitizer rejects the entire
-// incoming batch, the wrapper must skip the model update — a defended
-// advisor must never retrain on zero trusted queries — and its
-// recommendation must be unchanged.
-func TestRobustRetrainAllPoisoned(t *testing.T) {
-	env, nw, st := setup(t)
-	// The hand-built toxic preference of TestSanitizerDropsToxicQueries.
-	cols := env.Schema.IndexableColumnNames()
-	ranking := []string{
-		"lineitem.l_shipdate", "lineitem.l_partkey", "lineitem.l_orderkey",
-		"lineitem.l_receiptdate",
-		"part.p_retailprice", "customer.c_phone", "supplier.s_acctbal",
-		"orders.o_clerk", "partsupp.ps_supplycost",
-	}
-	seen := make(map[string]bool)
-	k := map[string]float64{}
-	for i, c := range ranking {
-		seen[c] = true
-		k[c] = 1 / float64(i+1)
-	}
-	for _, c := range cols {
-		if !seen[c] {
-			ranking = append(ranking, c)
-		}
-	}
-	tw := st.Inject(context.Background(), &pipa.Preference{Ranking: ranking, K: k})
-
-	ia, err := registry.New("DQN-b", env, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRobust(ia, env.WhatIf, nw)
-	r.Train(nw)
-	before := r.Recommend(nw)
-
-	// Keep only the queries the sanitizer flags, so the batch is all-poison.
-	_, screened := r.Sanitizer.Screen(tw)
-	allBad := &workload.Workload{}
-	for i, q := range tw.Queries {
-		if _, flagged := screened.Reasons[q.String()]; flagged {
-			allBad.Add(q, tw.Freqs[i])
-		}
-	}
-	if allBad.Len() == 0 {
-		t.Skip("no toxic queries flagged at this scale")
-	}
-
-	r.Retrain(allBad)
-	if r.LastReport == nil || r.LastReport.Kept != 0 || r.LastReport.Dropped != allBad.Len() {
-		t.Fatalf("all-poisoned batch not fully dropped: %s", r.LastReport)
-	}
-	after := r.Recommend(nw)
-	if len(before) != len(after) {
-		t.Fatalf("recommendation changed after skipped update: %v vs %v", before, after)
-	}
-	for i := range before {
-		if before[i].Key() != after[i].Key() {
-			t.Errorf("recommendation changed after skipped update: %v vs %v", before, after)
-			break
-		}
-	}
-}
-
 func TestScreenCleanReportsFalsePositives(t *testing.T) {
 	env, nw, _ := setup(t)
 	san := NewSanitizer(env.WhatIf, nw)
 	other := workload.GenerateNormal(env.Schema, workload.TPCHTemplates(), 14, rand.New(rand.NewSource(31)))
 
-	// ScreenClean must agree with Screen on the verdicts and add exactly the
+	// ScreenCleanWith must agree with Screen on the verdicts and add exactly the
 	// dropped count — the sanitizer's false positives on vouched-clean
 	// traffic — to the process-wide counter.
 	_, want := san.Screen(other)
 	before := obs.GetCounter("defense_clean_dropped_total").Value()
-	report := san.ScreenClean(other)
+	report := ScreenCleanWith(san, other)
 	after := obs.GetCounter("defense_clean_dropped_total").Value()
 
 	if report.Kept != want.Kept || report.Dropped != want.Dropped {
-		t.Errorf("ScreenClean report (kept %d, dropped %d) disagrees with Screen (kept %d, dropped %d)",
+		t.Errorf("ScreenCleanWith report (kept %d, dropped %d) disagrees with Screen (kept %d, dropped %d)",
 			report.Kept, report.Dropped, want.Kept, want.Dropped)
 	}
 	if got := after - before; got != int64(report.Dropped) {
@@ -299,7 +199,7 @@ func TestScreenCleanReportsFalsePositives(t *testing.T) {
 	// The reference workload itself is clean by definition: zero drops, and
 	// the counter must not move.
 	before = obs.GetCounter("defense_clean_dropped_total").Value()
-	if rep := san.ScreenClean(nw); rep.Dropped != 0 {
+	if rep := ScreenCleanWith(san, nw); rep.Dropped != 0 {
 		t.Errorf("reference workload flagged as dirty: %s", rep)
 	}
 	if after = obs.GetCounter("defense_clean_dropped_total").Value(); after != before {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/defense"
 	"repro/internal/qgen"
 	"repro/internal/workload"
 )
@@ -145,7 +146,7 @@ func TestTrimStubCleanNoDrops(t *testing.T) {
 	for _, v := range []Variant{TRIM, ATRIM, IRL} {
 		for _, eps := range []float64{0.1, 0.3, 0.45} {
 			scr := New(stub, env.WhatIf, Config{Variant: v, Epsilon: eps, Seed: 7, Reference: clean})
-			if rep := scr.ScreenClean(clean); rep.Dropped != 0 {
+			if rep := defense.ScreenCleanWith(scr, clean); rep.Dropped != 0 {
 				t.Errorf("%s eps=%.2f dropped %d clean queries: %s", v, eps, rep.Dropped, rep)
 			}
 		}

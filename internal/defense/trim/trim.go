@@ -201,12 +201,6 @@ func (s *Screener) Screen(incoming *workload.Workload) (*workload.Workload, *def
 	return s.ScreenCtx(context.Background(), incoming)
 }
 
-// ScreenClean screens a workload the caller vouches for as clean, counting
-// every drop as a false positive on defense_clean_dropped_total.
-func (s *Screener) ScreenClean(clean *workload.Workload) *defense.Report {
-	return defense.ScreenCleanWith(s, clean)
-}
-
 // ScreenCtx implements defense.CtxScreener: the pass records a "guard:trim"
 // child span annotated with the variant, iteration count and verdict.
 func (s *Screener) ScreenCtx(ctx context.Context, incoming *workload.Workload) (*workload.Workload, *defense.Report) {

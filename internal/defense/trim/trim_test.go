@@ -105,7 +105,7 @@ func TestTrimScreenCleanZeroFalsePositives(t *testing.T) {
 			scr := New(victim, env.WhatIf, Config{Variant: v, Epsilon: eps, Seed: 7})
 			for name, clean := range map[string]*workload.Workload{"trained": nw, "unseen": other} {
 				before := obs.GetCounter("defense_clean_dropped_total").Value()
-				rep := scr.ScreenClean(clean)
+				rep := defense.ScreenCleanWith(scr, clean)
 				after := obs.GetCounter("defense_clean_dropped_total").Value()
 				if rep.Dropped != 0 {
 					t.Errorf("%s eps=%.1f dropped %d clean %s queries: %s", v, eps, rep.Dropped, name, rep)

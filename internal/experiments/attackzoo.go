@@ -164,7 +164,7 @@ func (s *Setup) runZooCell(ctx context.Context, st *pipa.StressTester, advisorNa
 	w := s.NormalWorkload(run)
 	canary := s.CanaryWorkload(run)
 
-	base, err := s.TrainAdvisor(advisorName, run, w)
+	base, err := s.trainAdvisor(ctx, advisorName, run, w)
 	if err != nil {
 		return c, err
 	}

@@ -75,7 +75,7 @@ func RunCaseStudies(ctx context.Context, s *Setup) (*CaseStudies, error) {
 	out.Curves = append(out.Curves, curves...)
 
 	// Fig. 8(d): SWIRL poisoned, then re-retrained on the normal workload.
-	swirl, err := s.TrainAdvisor("SWIRL", 0, w)
+	swirl, err := s.trainAdvisor(ctx, "SWIRL", 0, w)
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func (s *Setup) runDefenseCell(ctx context.Context, st *pipa.StressTester, advis
 	w := s.NormalWorkload(run)
 	canary := s.CanaryWorkload(run)
 
-	base, err := s.TrainAdvisor(advisorName, run, w)
+	base, err := s.trainAdvisor(ctx, advisorName, run, w)
 	if err != nil {
 		return c, err
 	}

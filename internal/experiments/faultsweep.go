@@ -81,7 +81,7 @@ func RunFaultSweep(ctx context.Context, s *Setup, advisorName string, rates []fl
 			var c faultCell
 			st := s.FaultTester(rate, int64(i))
 			w := s.NormalWorkload(run)
-			base, err := s.TrainAdvisor(advisorName, run, w)
+			base, err := s.trainAdvisor(ctx, advisorName, run, w)
 			if err != nil {
 				return c, err
 			}

@@ -38,7 +38,7 @@ func RunMotivation(ctx context.Context, s *Setup) (*MotivationResult, error) {
 	runs, err := par.MapCtx(ctx, s.pool("motivation"), s.Runs, func(ctx context.Context, run int) (motiveRun, error) {
 		var m motiveRun
 		w := s.NormalWorkload(run)
-		base, err := s.TrainAdvisor("DQN-b", run, w)
+		base, err := s.trainAdvisor(ctx, "DQN-b", run, w)
 		if err != nil {
 			return m, err
 		}

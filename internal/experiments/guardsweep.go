@@ -87,7 +87,7 @@ func workloadHead(w *workload.Workload, k int) *workload.Workload {
 // The guarded victim deliberately runs without a pre-update sanitizer: the
 // sweep isolates what canary gating alone buys, and the sanitizer's
 // collateral damage on clean traffic is reported separately per rung
-// (CleanDrops, from defense.ScreenClean on the held-out canary).
+// (CleanDrops, from defense.ScreenCleanWith on the held-out canary).
 func RunGuardSweep(ctx context.Context, s *Setup, advisorName string, rates []float64) (*GuardSweepResult, error) {
 	if rates == nil {
 		rates = GuardRates()
@@ -104,7 +104,7 @@ func RunGuardSweep(ctx context.Context, s *Setup, advisorName string, rates []fl
 			w := s.NormalWorkload(run)
 			canary := s.CanaryWorkload(run)
 
-			base, err := s.TrainAdvisor(advisorName, run, w)
+			base, err := s.trainAdvisor(ctx, advisorName, run, w)
 			if err != nil {
 				return c, err
 			}
@@ -149,7 +149,7 @@ func RunGuardSweep(ctx context.Context, s *Setup, advisorName string, rates []fl
 			gst := gt.Stats()
 			c.Commits, c.Rollbacks, c.Frozen = gst.Commits, gst.Rollbacks, gst.Frozen
 			c.Trips, c.Quarantined = gst.Trips, gst.Quarantined
-			c.CleanDrops = defense.NewSanitizer(s.WhatIf, w).ScreenClean(canary).Dropped
+			c.CleanDrops = defense.ScreenCleanWith(defense.NewSanitizer(s.WhatIf, w), canary).Dropped
 
 			// A cancelled cell is truncated: fail it so it is never journaled.
 			if err := ctx.Err(); err != nil {

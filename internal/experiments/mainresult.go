@@ -60,7 +60,7 @@ func RunMainResult(ctx context.Context, s *Setup, advisors []string) (*MainResul
 		run, name := i/nAdv, advisors[i%nAdv]
 		return journaled(s, fmt.Sprintf("mainresult/%s/%d", name, run), func() ([]float64, error) {
 			w := s.NormalWorkload(run)
-			base, err := s.TrainAdvisor(name, run, w)
+			base, err := s.trainAdvisor(ctx, name, run, w)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -225,13 +226,19 @@ func (s *Setup) CanaryWorkload(run int) *workload.Workload {
 
 // TrainAdvisor constructs and trains the named advisor for one run.
 func (s *Setup) TrainAdvisor(name string, run int, w *workload.Workload) (advisor.Advisor, error) {
+	return s.trainAdvisor(context.Background(), name, run, w)
+}
+
+// trainAdvisor is TrainAdvisor recording a "train:<advisor>" span under
+// ctx's active span.
+func (s *Setup) trainAdvisor(ctx context.Context, name string, run int, w *workload.Workload) (advisor.Advisor, error) {
 	cfg := s.AdvCfg
 	cfg.Seed = s.Seed*1000 + int64(run)
 	ia, err := registry.New(name, s.Env, cfg)
 	if err != nil {
 		return nil, err
 	}
-	span := obs.StartSpan("train:" + name)
+	_, span := obs.StartSpanCtx(ctx, "train:"+name)
 	ia.Train(w)
 	span.End()
 	return ia, nil

@@ -43,7 +43,7 @@ func RunInjectionSize(ctx context.Context, s *Setup, advisors []string, omegas [
 		}
 		var c cellResult
 		w := s.NormalWorkloadN(run, wSize)
-		base, err := s.TrainAdvisor(name, run, w)
+		base, err := s.trainAdvisor(ctx, name, run, w)
 		if err != nil {
 			return c, err
 		}
@@ -161,7 +161,7 @@ func adSamples(ctx context.Context, s *Setup, phase string, cells []adCell) ([][
 		cell, run := cells[i/nRuns], i%nRuns
 		st := pipa.NewStressTester(s.Schema, s.WhatIf, s.Gen, cell.cfg)
 		w := s.NormalWorkload(run)
-		ia, err := s.TrainAdvisor(cell.advisor, run, w)
+		ia, err := s.trainAdvisor(ctx, cell.advisor, run, w)
 		if err != nil {
 			return 0, err
 		}
@@ -285,7 +285,7 @@ func RunProbingParams(ctx context.Context, s *Setup, advisorName string, alphas,
 	// Recommend advances trial-based advisors' internal state, so the probe
 	// order is part of the experiment's definition.
 	w := s.NormalWorkload(0)
-	ia, err := s.TrainAdvisor(advisorName, 0, w)
+	ia, err := s.trainAdvisor(ctx, advisorName, 0, w)
 	if err != nil {
 		return nil, err
 	}

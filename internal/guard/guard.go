@@ -146,11 +146,6 @@ type Config struct {
 	// retrainer, or a stacked defense.Chain.
 	Screener defense.Screener
 
-	// Sanitizer is the pre-Screener form of the same knob; when Screener is
-	// nil a non-nil Sanitizer is adopted as the screener, so existing
-	// configurations keep working.
-	Sanitizer *defense.Sanitizer
-
 	// ModelDir, when non-empty, persists the last committed snapshot (plus
 	// guard metadata) there crash-safely; TryRestore resumes from it.
 	ModelDir string
@@ -208,9 +203,6 @@ func NewTrainer(inner advisor.Advisor, cfg Config) (*Trainer, error) {
 	}
 	if cfg.QuarantineCap <= 0 {
 		cfg.QuarantineCap = 256
-	}
-	if cfg.Screener == nil && cfg.Sanitizer != nil {
-		cfg.Screener = cfg.Sanitizer
 	}
 	return &Trainer{
 		inner:      inner,

@@ -264,6 +264,11 @@ func (f *fakeScreener) Screen(w *workload.Workload) (*workload.Workload, *defens
 }
 
 func TestGuardScreenerPartialAndFull(t *testing.T) {
+	plain, _ := newStubTrainer(t, script(100, 101), Config{Budget: 0.02})
+	if got := plain.ScreenStrategy(); got != "none" {
+		t.Fatalf("ScreenStrategy without a screener = %q, want none", got)
+	}
+
 	scr := &fakeScreener{name: "fake", drop: 2}
 	tr, stub := newStubTrainer(t, script(100, 101, 101), Config{Budget: 0.02, Screener: scr})
 	tr.Train(batch(t, 1))
@@ -314,7 +319,7 @@ func TestGuardScreenerPartialAndFull(t *testing.T) {
 }
 
 func TestGuardSanitizerConfigCompat(t *testing.T) {
-	// The pre-Screener Sanitizer field still routes into the screen stage.
+	// The defense sanitizer plugs into the screen stage as a Screener.
 	ref := &workload.Workload{}
 	for i := 0; i < 3; i++ {
 		q, err := sql.Parse(fmt.Sprintf("SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > %d", i))
@@ -324,9 +329,9 @@ func TestGuardSanitizerConfigCompat(t *testing.T) {
 		ref.Add(q, 1)
 	}
 	san := defense.NewSanitizer(cost.NewWhatIf(cost.NewModel(catalog.TPCH(1))), ref)
-	tr, _ := newStubTrainer(t, script(100, 101), Config{Budget: 0.02, Sanitizer: san})
+	tr, _ := newStubTrainer(t, script(100, 101), Config{Budget: 0.02, Screener: san})
 	if got := tr.ScreenStrategy(); got != "sanitizer" {
-		t.Fatalf("ScreenStrategy = %q, want sanitizer via compat shim", got)
+		t.Fatalf("ScreenStrategy = %q, want sanitizer", got)
 	}
 	tr2, _ := newStubTrainer(t, script(100, 101), Config{Budget: 0.02})
 	if got := tr2.ScreenStrategy(); got != "none" {

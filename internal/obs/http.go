@@ -13,7 +13,7 @@ import (
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  MetricsSnapshot as JSON
-//	/report        full Report (spans + metrics + flight traces) as JSON
+//	/report        full Report (phases + metrics + flight traces) as JSON
 //	/debug/traces  flight-recorder dump (?trace=<id> for one record)
 //	/debug/vars    expvar (Go runtime memstats etc.)
 func (o *Observer) Handler() http.Handler {

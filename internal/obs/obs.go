@@ -1,50 +1,44 @@
 // Package obs is the telemetry substrate of the reproduction: a metrics
 // registry (atomic counters, gauges, fixed-bucket histograms and bounded
-// series), a hierarchical span tracer with an injectable clock, and
-// structured run reports. Every hot layer of the pipeline — what-if costing,
-// advisor training, PIPA probing/injecting, query generation, plan
-// execution — feeds the process-wide Default observer; cmd/pipa-bench turns
-// it into a JSON run report and a Prometheus/pprof endpoint.
+// series), context-propagated traces with an injectable clock, a flight
+// recorder retaining finished traces, and structured run reports. Every hot
+// layer of the pipeline — what-if costing, advisor training, PIPA
+// probing/injecting, query generation, plan execution — feeds the
+// process-wide Default observer. Experiment runs (one trace per experiment)
+// and the serving daemon (one trace per request) share that one model;
+// BuildReport folds both into a JSON run report, also served live with the
+// Prometheus/pprof endpoints.
 //
 // Design constraints, in order: (1) hot-path cost must be a single atomic
-// add — callers cache *Counter handles at package init; (2) determinism —
-// telemetry never feeds back into experiment behaviour, and the tracer's
-// clock is injectable so tests stay reproducible (DESIGN.md §5); (3) zero
-// dependencies beyond the stdlib.
+// add — callers cache *Counter handles at package init — and an untraced
+// context costs one nil check; (2) determinism — telemetry never feeds back
+// into experiment behaviour, and trace clocks are injectable so tests stay
+// reproducible (DESIGN.md §5); (3) zero dependencies beyond the stdlib.
 package obs
 
-import "time"
-
-// Observer bundles one metrics registry, one span tracer, and one flight
-// recorder for request-scoped traces.
+// Observer bundles one metrics registry and one flight recorder retaining
+// finished traces.
 type Observer struct {
 	Metrics *Registry
-	Tracer  *Tracer
 	Flight  *FlightRecorder
 }
 
-// New creates an observer. clock may be nil for wall time.
-func New(clock Clock) *Observer {
-	if clock == nil {
-		clock = time.Now
-	}
+// New creates an observer.
+func New() *Observer {
 	return &Observer{
 		Metrics: NewRegistry(),
-		Tracer:  NewTracer(clock),
 		Flight:  NewFlightRecorder(DefaultFlightCap),
 	}
 }
 
 // Default is the process-wide observer all instrumented packages feed.
-var Default = New(nil)
+var Default = New()
 
-// Reset zeroes every metric value, drops all recorded spans and flight
-// records on the Default observer, and rewinds the deterministic trace ID
-// sequence. Registered metric objects survive, so cached handles remain
-// valid.
+// Reset zeroes every metric value, drops all flight records on the Default
+// observer, and rewinds the deterministic trace ID sequence. Registered
+// metric objects survive, so cached handles remain valid.
 func Reset() {
 	Default.Metrics.Reset()
-	Default.Tracer.Reset()
 	Default.Flight.Reset()
 	ResetTraceIDs()
 }
@@ -71,7 +65,3 @@ func Observe(name string, v float64) { Default.Metrics.Histogram(name, nil).Obse
 
 // Record appends one value to a Default-registry series.
 func Record(name string, v float64) { Default.Metrics.Series(name).Append(v) }
-
-// StartSpan opens a span on the Default tracer, nested under the currently
-// open span. Close it with Span.End (typically deferred).
-func StartSpan(name string) *Span { return Default.Tracer.Start(name) }

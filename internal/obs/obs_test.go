@@ -123,63 +123,17 @@ func TestSeriesCap(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	tr := NewTracer(NewFakeClock(time.Millisecond).Now)
-	root := tr.Start("experiment:fig1")
-	probe := tr.Start("probe")
-	e0 := tr.Start("probe.epoch:0")
-	e0.End()
-	e1 := tr.Start("probe.epoch:1")
-	e1.End()
-	probe.End()
-	inject := tr.Start("inject")
-	inject.End()
-	root.End()
-
-	spans := tr.Snapshot()
-	if len(spans) != 1 || spans[0].Name != "experiment:fig1" {
-		t.Fatalf("roots = %+v", spans)
-	}
-	kids := spans[0].Children
-	if len(kids) != 2 || kids[0].Name != "probe" || kids[1].Name != "inject" {
-		t.Fatalf("children = %+v", kids)
-	}
-	if len(kids[0].Children) != 2 {
-		t.Fatalf("probe children = %+v", kids[0].Children)
-	}
-	if kids[0].DurUs <= 0 || spans[0].DurUs < kids[0].DurUs {
-		t.Fatalf("durations inconsistent: root %d, probe %d", spans[0].DurUs, kids[0].DurUs)
-	}
-	if Find(spans, "probe.epoch:1") == nil {
-		t.Fatalf("Find missed nested span")
-	}
-}
-
-func TestSpanForceEndChildren(t *testing.T) {
-	tr := NewTracer(NewFakeClock(time.Millisecond).Now)
-	root := tr.Start("root")
-	tr.Start("leaked") // never explicitly ended
-	root.End()
-	spans := tr.Snapshot()
-	leaked := Find(spans, "leaked")
-	if leaked == nil || leaked.DurUs < 0 {
-		t.Fatalf("child not force-ended with parent: %+v", leaked)
-	}
-	// Ending again must be a no-op and the stack must be empty: a new span
-	// becomes a root.
-	root.End()
-	tr.Start("second").End()
-	if got := len(tr.Snapshot()); got != 2 {
-		t.Fatalf("roots = %d, want 2", got)
-	}
-}
-
-// identicalRun drives one observer through a fixed op sequence.
+// identicalRun drives one observer through a fixed op sequence: two
+// experiment traces on a fake clock, handed to the flight recorder when they
+// finish, plus a few metrics.
 func identicalRun(o *Observer) {
-	root := o.Tracer.Start("experiment:fig1")
-	probe := o.Tracer.Start("probe")
+	ResetTraceIDs()
+	o.Flight.SetRecordAll(true)
+	clock := NewFakeClock(100 * time.Microsecond).Now
+	tr := NewTrace("experiment:fig1", clock)
+	probe := tr.Root().StartChild("pipa.probe")
 	for i := 0; i < 3; i++ {
-		e := o.Tracer.Start("probe.epoch")
+		e := probe.StartChild("probe.epoch")
 		o.Metrics.Counter("pipa_probe_epochs_total").Inc()
 		o.Metrics.Gauge("pipa_probe_mu_entropy").Set(1.0 / float64(i+1))
 		e.End()
@@ -189,13 +143,19 @@ func identicalRun(o *Observer) {
 	o.Metrics.Histogram("advisor_trial_reward", nil).Observe(0.42)
 	o.Metrics.Series("advisor_train_reward").Append(0.1)
 	o.Metrics.Series("advisor_train_reward").Append(0.2)
-	root.End()
+	tr.End()
+	o.Flight.Observe(tr)
+
+	tr = NewTrace("experiment:fig7", clock)
+	tr.Root().StartChild("train:DQN-b").End()
+	tr.End()
+	o.Flight.Observe(tr)
 }
 
 func TestReportDeterministic(t *testing.T) {
 	var reports [][]byte
 	for i := 0; i < 2; i++ {
-		o := New(NewFakeClock(100 * time.Microsecond).Now)
+		o := New()
 		identicalRun(o)
 		b, err := o.BuildReport("test", map[string]string{"exp": "fig1"}).JSON()
 		if err != nil {
@@ -210,8 +170,23 @@ func TestReportDeterministic(t *testing.T) {
 	if err := json.Unmarshal(reports[0], &r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Phases["probe.epoch"].Count != 3 {
-		t.Fatalf("phases = %+v", r.Phases)
+	// Phases fold every span of every retained trace, names cut at ':'.
+	want := map[string]PhaseTime{
+		"experiment":  {Count: 2, TotalUs: 900 + 300},
+		"pipa.probe":  {Count: 1, TotalUs: 700},
+		"probe.epoch": {Count: 3, TotalUs: 300},
+		"train":       {Count: 1, TotalUs: 100},
+	}
+	if len(r.Phases) != len(want) {
+		t.Fatalf("phases = %+v, want %+v", r.Phases, want)
+	}
+	for name, pt := range want {
+		if r.Phases[name] != pt {
+			t.Errorf("phase %s = %+v, want %+v", name, r.Phases[name], pt)
+		}
+	}
+	if len(r.Traces) != 2 || r.Traces[0].Name != "experiment:fig1" {
+		t.Fatalf("traces = %+v", r.Traces)
 	}
 	if r.CounterValue(Name("cost_plan_access_total", "kind", "SeqScan")) != 7 {
 		t.Fatalf("counter lookup failed: %+v", r.Metrics.Counters)
@@ -281,10 +256,12 @@ func TestName(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	o := New(NewFakeClock(time.Microsecond).Now)
+	o := New()
 	o.Metrics.Counter("hits_total").Add(4)
-	s := o.Tracer.Start("root")
-	s.End()
+	o.Flight.SetRecordAll(true)
+	tr := NewTrace("root", NewFakeClock(time.Microsecond).Now)
+	tr.End()
+	o.Flight.Observe(tr)
 	srv := o.Handler()
 
 	get := func(path string) string {

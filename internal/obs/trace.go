@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Clock supplies the tracer's notion of time. Production code uses
-// time.Now; deterministic tests inject a FakeClock so two identical runs
-// produce byte-identical span trees (DESIGN.md §5).
+// Clock supplies a trace's (and the logger's) notion of time. Production
+// code uses time.Now; deterministic tests inject a FakeClock so two
+// identical runs produce byte-identical span trees (DESIGN.md §5).
 type Clock func() time.Time
 
 // FakeClock is a deterministic Clock: every Now call advances the returned
@@ -30,155 +30,4 @@ func (f *FakeClock) Now() time.Time {
 	t := f.now
 	f.now = f.now.Add(f.Step)
 	return t
-}
-
-// Span is one timed, named region of the pipeline. Spans nest: a span
-// started while another is open becomes its child. Spans are created by
-// Tracer.Start and closed by End.
-type Span struct {
-	Name string
-
-	tracer   *Tracer
-	start    time.Time
-	end      time.Time
-	ended    bool
-	children []*Span
-}
-
-// End closes the span. Any children still open are closed at the same
-// instant (a span cannot outlive its parent). End is idempotent.
-func (s *Span) End() {
-	if s == nil || s.tracer == nil {
-		return
-	}
-	t := s.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s.ended {
-		return
-	}
-	now := t.clock()
-	// Pop the stack down to s, force-ending anything opened above it.
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		sp := t.stack[i]
-		if !sp.ended {
-			sp.end = now
-			sp.ended = true
-		}
-		if sp == s {
-			t.stack = t.stack[:i]
-			return
-		}
-	}
-	// s was not on the stack (already popped by an ancestor's End): just
-	// stamp it.
-	s.end = now
-	s.ended = true
-}
-
-// Tracer records a forest of spans. Nesting follows call order: Start
-// attaches the new span under the most recently started, still-open span.
-// All methods are mutex-protected; the nesting discipline assumes the
-// start/end pairs of one logical flow run on one goroutine (true for the
-// sequential experiment pipeline).
-type Tracer struct {
-	mu    sync.Mutex
-	clock Clock
-	roots []*Span
-	stack []*Span
-}
-
-// NewTracer creates a tracer over the given clock (nil for wall time).
-func NewTracer(clock Clock) *Tracer {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Tracer{clock: clock}
-}
-
-// SetClock replaces the tracer's clock (before any spans are recorded).
-func (t *Tracer) SetClock(c Clock) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c != nil {
-		t.clock = c
-	}
-}
-
-// Start opens a span nested under the currently open span (or as a new
-// root). Close it with Span.End.
-func (t *Tracer) Start(name string) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := &Span{Name: name, tracer: t, start: t.clock()}
-	if n := len(t.stack); n > 0 {
-		parent := t.stack[n-1]
-		parent.children = append(parent.children, s)
-	} else {
-		t.roots = append(t.roots, s)
-	}
-	t.stack = append(t.stack, s)
-	return s
-}
-
-// Reset drops all recorded spans and the open stack.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.roots = nil
-	t.stack = nil
-}
-
-// SpanSnapshot is the JSON form of one span. Times are offsets from the
-// trace's first span start, so identical fake-clock runs marshal
-// identically regardless of the base time.
-type SpanSnapshot struct {
-	Name     string          `json:"name"`
-	StartUs  int64           `json:"start_us"` // offset from trace start
-	DurUs    int64           `json:"dur_us"`   // -1 while still open
-	Children []*SpanSnapshot `json:"children,omitempty"`
-}
-
-// Snapshot returns the recorded span forest. Open spans report DurUs = -1.
-func (t *Tracer) Snapshot() []*SpanSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.roots) == 0 {
-		return nil
-	}
-	base := t.roots[0].start
-	out := make([]*SpanSnapshot, len(t.roots))
-	for i, r := range t.roots {
-		out[i] = snapshotSpan(r, base)
-	}
-	return out
-}
-
-func snapshotSpan(s *Span, base time.Time) *SpanSnapshot {
-	snap := &SpanSnapshot{
-		Name:    s.Name,
-		StartUs: s.start.Sub(base).Microseconds(),
-		DurUs:   -1,
-	}
-	if s.ended {
-		snap.DurUs = s.end.Sub(s.start).Microseconds()
-	}
-	for _, c := range s.children {
-		snap.Children = append(snap.Children, snapshotSpan(c, base))
-	}
-	return snap
-}
-
-// Find returns the first snapshot with the given name in a depth-first walk
-// of the forest, or nil. Report consumers use it to pull out phase timings.
-func Find(spans []*SpanSnapshot, name string) *SpanSnapshot {
-	for _, s := range spans {
-		if s.Name == name {
-			return s
-		}
-		if hit := Find(s.Children, name); hit != nil {
-			return hit
-		}
-	}
-	return nil
 }

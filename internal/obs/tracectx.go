@@ -9,12 +9,12 @@ import (
 	"time"
 )
 
-// Request-scoped tracing (DESIGN.md §11). The package-level Tracer records a
-// single span forest for the sequential experiment pipeline; a Trace is its
-// concurrent counterpart: one per request, propagated through
-// context.Context, safe to grow from several goroutines (the HTTP handler and
-// the trainer loop both add spans to one update trace), and identified by a
-// deterministic trace ID that the serving daemon echoes in every response.
+// Context-propagated tracing (DESIGN.md §6, §11). A Trace is one span tree —
+// one per experiment in the batch tools, one per request in the serving
+// daemon — propagated through context.Context, safe to grow from several
+// goroutines (parallel experiment cells, or the HTTP handler and the trainer
+// loop adding spans to one update trace), and identified by a deterministic
+// trace ID that the serving daemon echoes in every response.
 //
 // IDs are deterministic by construction — a process-wide sequence number
 // scrambled through SplitMix64 — so two identical runs (same request order)

@@ -70,7 +70,8 @@ func (st *StressTester) Inject(ctx context.Context, pref *Preference) *workload.
 // share a stress tester across worker goroutines. Cancelling ctx stops
 // generation and returns the injection built so far.
 func (st *StressTester) InjectN(ctx context.Context, pref *Preference, na int) *workload.Workload {
-	defer obs.StartSpan("pipa.inject").End()
+	_, span := obs.StartSpanCtx(ctx, "pipa.inject")
+	defer span.End()
 	rng := st.rng(2)
 	top, mid, _ := st.Segments(pref)
 	// Restrict the sampling pool to columns the probe actually observed

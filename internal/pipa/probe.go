@@ -33,7 +33,8 @@ var (
 // spent from the budget, but its observation never reaches the estimator,
 // modelling a lossy channel to the victim.
 func (st *StressTester) Probe(ctx context.Context, ia advisor.Advisor) *Preference {
-	defer obs.StartSpan("pipa.probe").End()
+	_, probe := obs.StartSpanCtx(ctx, "pipa.probe")
+	defer probe.End()
 	rng := st.rng(1)
 	cols := st.Schema.IndexableColumnNames()
 	L := len(cols)
@@ -57,7 +58,7 @@ func (st *StressTester) Probe(ctx context.Context, ia advisor.Advisor) *Preferen
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
-		epoch := obs.StartSpan("probe.epoch")
+		epoch := probe.StartChild("probe.epoch")
 		probeEpochs.Inc()
 		// Build the probing workload PW_p (Alg. 1 lines 3-6).
 		pw := &workload.Workload{}

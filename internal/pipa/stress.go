@@ -38,10 +38,11 @@ type Result struct {
 // callers that persist results must check ctx.Err() first so a truncated
 // run is never recorded.
 func (st *StressTester) StressTest(ctx context.Context, ia advisor.Advisor, inj Injector, w *workload.Workload, injSize int) Result {
-	defer obs.StartSpan("pipa.stress").End()
+	ctx, stress := obs.StartSpanCtx(ctx, "pipa.stress")
+	defer stress.End()
 	res := Result{Injector: inj.Name(), Advisor: ia.Name(), InjectionSize: injSize}
 
-	span := obs.StartSpan("recommend:baseline")
+	span := stress.StartChild("recommend:baseline")
 	base := ia.Recommend(w)
 	span.End()
 	res.BaselineIndexes = indexKeys(base)
@@ -50,19 +51,19 @@ func (st *StressTester) StressTest(ctx context.Context, ia advisor.Advisor, inj 
 		return res
 	}
 
-	span = obs.StartSpan("inject")
-	tw := inj.BuildInjection(ctx, ia, injSize)
+	ictx, span := obs.StartSpanCtx(ctx, "inject")
+	tw := inj.BuildInjection(ictx, ia, injSize)
 	span.End()
 	res.InjectionSize = tw.Len()
 	if ctx != nil && ctx.Err() != nil {
 		return res
 	}
 
-	span = obs.StartSpan("retrain")
+	span = stress.StartChild("retrain")
 	ia.Retrain(w.Merge(tw))
 	span.End()
 
-	span = obs.StartSpan("recommend:poisoned")
+	span = stress.StartChild("recommend:poisoned")
 	poisoned := ia.Recommend(w)
 	span.End()
 	res.PoisonedIndexes = indexKeys(poisoned)
