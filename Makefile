@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/snap -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/defense/trim -run '^$$' -fuzz FuzzTrimSubsetStable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pipa -run '^$$' -fuzz FuzzInjectorBuild -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn -run '^$$' -fuzz FuzzMLPKernel -fuzztime $(FUZZTIME)
 
 # lint and vuln expect the tools on PATH (CI installs pinned versions; see
 # .github/workflows/ci.yml).
@@ -102,17 +103,19 @@ vet:
 
 # bench runs the macro benchmarks once each (-benchtime 1x: these are
 # whole-experiment wall-clock probes, one op IS the experiment) and the
-# what-if cache / workload-sweep micro benchmarks at fixed iteration counts
-# (one op is a few µs, so 1x would only measure harness overhead), and
-# records everything in BENCH_OUT: ns/op, B/op, allocs/op (-benchmem) plus
-# the custom metrics (whatif-calls/op, hit-rate, recost-frac) per benchmark.
+# what-if cache, workload-sweep and nn forward/backward micro benchmarks at
+# fixed iteration counts (one op is a few µs, so 1x would only measure
+# harness overhead), and records everything in BENCH_OUT: ns/op, B/op,
+# allocs/op (-benchmem) plus the custom metrics (whatif-calls/op, hit-rate,
+# recost-frac) per benchmark.
 BENCH_PATTERN ?= MainResult|Fig|Table
 BENCH_OUT ?= BENCH_pr7.json
 
 bench:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem -count 1 . && \
 	  $(GO) test -run '^$$' -bench 'WhatIfCached' -benchtime 20000x -benchmem -count 1 . && \
-	  $(GO) test -run '^$$' -bench 'WorkloadCost' -benchtime 5000x -benchmem -count 1 . ; } \
+	  $(GO) test -run '^$$' -bench 'WorkloadCost' -benchtime 5000x -benchmem -count 1 . && \
+	  $(GO) test -run '^$$' -bench 'NNForwardBackward' -benchtime 5000x -benchmem -count 1 . ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # bench-compare diffs two benchjson summaries and fails on a >20% ns/op

@@ -368,15 +368,75 @@ func BenchmarkEngineExecute(b *testing.B) {
 	}
 }
 
+// BenchmarkNNForwardBackward times one ForwardTape + Backward pass, with an
+// Adam step every 32 passes, on the traffic the advisors send:
+//   - dqn-state: DQN's Q-network over Env.Featurize plus Episode.ConfigVector
+//     (305 inputs, mostly zeros) with a one-hot TD gradient;
+//   - swirl-actor: SWIRL's tanh actor over the same state plus its budget
+//     entry, with a softmax policy gradient over the valid actions;
+//   - dense-input: the DQN shape fed a fully dense random input.
 func BenchmarkNNForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	net := nn.NewMLP(rng, []int{305, 64, 61}, nn.ReLU, nn.Identity)
-	x := make([]float64, 305)
-	for i := range x {
-		x[i] = rng.Float64()
+	s := catalog.TPCH(1)
+	env := advisor.NewEnv(s, cost.NewWhatIf(cost.NewModel(s)))
+	nw := workload.GenerateNormal(s, workload.TPCHTemplates(), 18, rand.New(rand.NewSource(5)))
+	feats := env.Featurize(nw)
+	mask := env.CandidateFilter(nw)
+	ep := env.NewEpisode(nw, 4)
+	for i, ok := range mask {
+		if ok && len(ep.Chosen()) < 2 {
+			ep.Step(i)
+		}
 	}
-	grad := make([]float64, 61)
-	grad[7] = 1
+	dqnState := append(append([]float64(nil), feats...), ep.ConfigVector()...)
+	hidden := advisor.DefaultConfig().Hidden
+	L := env.L()
+
+	b.Run("dqn-state", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		net := nn.NewMLP(rng, []int{len(dqnState), hidden, L}, nn.ReLU, nn.Identity)
+		grad := make([]float64, L)
+		grad[7] = 1
+		benchForwardBackward(b, net, dqnState, grad)
+	})
+	b.Run("swirl-actor", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		state := append(append([]float64(nil), dqnState...), 0.5)
+		net := nn.NewMLP(rng, []int{len(state), hidden, L}, nn.Tanh, nn.Identity)
+		valid := make([]bool, L)
+		action := -1
+		for i, ok := range mask {
+			valid[i] = ok && !ep.ChosenSet(i)
+			if valid[i] && action < 0 {
+				action = i
+			}
+		}
+		probs := nn.Softmax(net.Forward(state), valid)
+		grad := make([]float64, L)
+		for i := range grad {
+			if valid[i] {
+				oh := 0.0
+				if i == action {
+					oh = 1
+				}
+				grad[i] = -(oh - probs[i])
+			}
+		}
+		benchForwardBackward(b, net, state, grad)
+	})
+	b.Run("dense-input", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		net := nn.NewMLP(rng, []int{len(dqnState), hidden, L}, nn.ReLU, nn.Identity)
+		x := make([]float64, len(dqnState))
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		grad := make([]float64, L)
+		grad[7] = 1
+		benchForwardBackward(b, net, x, grad)
+	})
+}
+
+func benchForwardBackward(b *testing.B, net *nn.MLP, x, grad []float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,8 +36,23 @@ const numShards = 64
 // same key compute the plan once and share the result.
 type shard struct {
 	mu     sync.Mutex
-	cache  map[string]float64
-	flight map[string]*flightCall
+	cache  map[cacheKey]float64
+	flight map[cacheKey]*flightCall
+}
+
+// cacheKey identifies one (query, index set) pair. fp is the query's
+// Fingerprint, cached on the resolved Query and shared with it; set is the
+// interned index-set key. An entry therefore holds two string headers and
+// no copy of the SQL text.
+type cacheKey struct{ fp, set string }
+
+// String renders the key as "<fp>|<set>" ("<fp>" for the empty set), the
+// site key the chaos layer hashes its fault decisions on.
+func (k cacheKey) String() string {
+	if k.set == "" {
+		return k.fp
+	}
+	return k.fp + "|" + k.set
 }
 
 // flightCall is one in-progress model computation; done is closed once val
@@ -51,8 +66,8 @@ type flightCall struct {
 // (query, index set) pairs thousands of times during training; this cache
 // plays the role of the hypothetical-index call layer in the paper's testbed.
 // It is safe for concurrent use: the cache is sharded numShards ways by key
-// hash with per-shard locks, keys reuse the query fingerprint cached at
-// resolve time instead of re-rendering the SQL per lookup, and concurrent
+// hash with per-shard locks, keys share the query fingerprint cached at
+// resolve time instead of re-rendering or copying the SQL, and concurrent
 // misses on one key are deduplicated singleflight-style.
 //
 // MaxEntries bounds the cache (0 = unbounded). When full, an arbitrary
@@ -156,8 +171,8 @@ func (s CacheStats) HitRate() float64 {
 func NewWhatIf(m *Model) *WhatIf {
 	w := &WhatIf{Model: m}
 	for i := range w.shards {
-		w.shards[i].cache = make(map[string]float64)
-		w.shards[i].flight = make(map[string]*flightCall)
+		w.shards[i].cache = make(map[cacheKey]float64)
+		w.shards[i].flight = make(map[cacheKey]*flightCall)
 	}
 	return w
 }
@@ -189,42 +204,29 @@ func (w *WhatIf) queryCost(q *sql.Query, indexes []Index, idxKey string) float64
 // answered, so traced workload costing can attribute cache behaviour without
 // touching the untraced hot path.
 func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (float64, costKind) {
-	// Build the composite key "<fingerprint>|<set key>" into a pooled buffer:
-	// the cache-hit path probes the shard map through string(b), which Go
-	// compiles without a copy, so a warm lookup does not allocate at all. The
-	// key string is only materialized (once) on the compute path, where it
-	// must outlive this call inside the cache map.
-	kb := keyBufPool.Get().(*keyBuf)
-	b := append(kb.buf[:0], q.Fingerprint()...)
-	if idxKey != "" {
-		b = append(b, '|')
-		b = append(b, idxKey...)
-	}
-	kb.buf = b
-	sh := &w.shards[shardOf(b)]
+	// The key's parts are the query's cached fingerprint and the interned
+	// set key, so neither a hit nor a miss builds a key.
+	key := cacheKey{q.Fingerprint(), idxKey}
+	sh := &w.shards[shardOf(key)]
 
 	w.calls.Add(1)
 	whatifCalls.Inc()
 	sh.mu.Lock()
-	if c, ok := sh.cache[string(b)]; ok {
+	if c, ok := sh.cache[key]; ok {
 		sh.mu.Unlock()
-		keyBufPool.Put(kb)
 		w.hits.Add(1)
 		whatifHits.Inc()
 		return c, costHit
 	}
-	if fl, ok := sh.flight[string(b)]; ok {
+	if fl, ok := sh.flight[key]; ok {
 		// Someone is already computing this plan: wait and share.
 		sh.mu.Unlock()
-		keyBufPool.Put(kb)
 		<-fl.done
 		w.hits.Add(1)
 		whatifHits.Inc()
 		whatifShared.Inc()
 		return fl.val, costShared
 	}
-	key := string(b)
-	keyBufPool.Put(kb)
 	fl := &flightCall{done: make(chan struct{})}
 	sh.flight[key] = fl
 	sh.mu.Unlock()
@@ -234,7 +236,7 @@ func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (fl
 	} else if w.faults == nil {
 		fl.val = w.Model.QueryCost(q, indexes)
 	} else {
-		fl.val = w.computeFaulty(q, indexes, key)
+		fl.val = w.computeFaulty(q, indexes, key.String())
 	}
 
 	// Respect the bound before inserting. Never holds two shard locks at
@@ -432,16 +434,22 @@ func (w *WhatIf) CacheStats() CacheStats {
 	}
 }
 
-// shardOf hashes a key to its shard (FNV-1a, masked).
-func shardOf(key []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+// shardOf hashes key.String() to its shard (FNV-1a, masked) without
+// building the string.
+func shardOf(key cacheKey) uint32 {
+	const offset32 = 2166136261
+	h := fnv1a(offset32, key.fp)
+	if key.set != "" {
+		h = fnv1a(fnv1a(h, "|"), key.set)
 	}
 	return h & (numShards - 1)
+}
+
+func fnv1a(h uint32, s string) uint32 {
+	const prime32 = 16777619
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= prime32
+	}
+	return h
 }

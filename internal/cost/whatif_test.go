@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,6 +44,49 @@ func TestWhatIfCacheStats(t *testing.T) {
 	}
 	if d := obs.GetCounter("cost_whatif_calls_total").Value() - before; d != 3 {
 		t.Fatalf("obs calls delta = %d, want 3", d)
+	}
+}
+
+// TestWhatIfKeyIsQueryText checks that the cache keys on the query's text,
+// not its identity: a second, separately parsed Query with the same text
+// hits the first one's entry, for the empty and a non-empty index set.
+func TestWhatIfKeyIsQueryText(t *testing.T) {
+	s := catalog.TPCH(1)
+	w := NewWhatIf(NewModel(s))
+	const src = "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 17"
+	a, b := whatifQuery(t, s, src), whatifQuery(t, s, src)
+	if a == b {
+		t.Fatal("want two distinct Query objects")
+	}
+	for _, idx := range [][]Index{nil, {NewIndex("lineitem.l_partkey")}} {
+		want := w.QueryCost(a, idx)
+		before := w.CacheStats()
+		if got := w.QueryCost(b, idx); got != want {
+			t.Fatalf("indexes %v: cost %v, want %v", idx, got, want)
+		}
+		after := w.CacheStats()
+		if after.Hits != before.Hits+1 || after.Entries != before.Entries {
+			t.Fatalf("indexes %v: second parse gave hits %d→%d, entries %d→%d; want one hit and no new entry",
+				idx, before.Hits, after.Hits, before.Entries, after.Entries)
+		}
+	}
+}
+
+// TestShardOfHashesCompositeKey pins shardOf to FNV-1a over the composite
+// "<fp>|<set>" string, so keying the maps by struct moved no entry to
+// another shard.
+func TestShardOfHashesCompositeKey(t *testing.T) {
+	for _, k := range []cacheKey{
+		{"SELECT * FROM t", ""},
+		{"SELECT * FROM t", "t(a)"},
+		{"q", "lineitem(l_partkey);orders(o_custkey)"},
+		{"", ""},
+	} {
+		h := fnv.New32a()
+		h.Write([]byte(k.String()))
+		if got, want := shardOf(k), h.Sum32()&(numShards-1); got != want {
+			t.Errorf("shardOf(%q) = %d, want %d", k.String(), got, want)
+		}
 	}
 }
 

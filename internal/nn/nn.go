@@ -34,11 +34,13 @@ func (a Activation) apply(x float64) float64 {
 	}
 }
 
-// derivative given pre-activation x and post-activation y.
-func (a Activation) derivative(x, y float64) float64 {
+// derivative returns the slope at the pre-activation whose output is y.
+// ReLU's output is positive exactly where its input is, so y decides its
+// slope as the input would.
+func (a Activation) derivative(y float64) float64 {
 	switch a {
 	case ReLU:
-		if x <= 0 {
+		if y <= 0 {
 			return 0
 		}
 		return 1
@@ -81,7 +83,8 @@ func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 	return l
 }
 
-// MLP is a feed-forward network. It is not safe for concurrent use.
+// MLP is a feed-forward network. Forward may run concurrently on a network
+// nothing trains meanwhile; every other method needs exclusive use.
 type MLP struct {
 	layers []*layer
 	step   int
@@ -117,96 +120,160 @@ func (n *MLP) InputSize() int { return n.layers[0].in }
 // OutputSize returns the output dimensionality.
 func (n *MLP) OutputSize() int { return n.layers[len(n.layers)-1].out }
 
-// Tape records per-layer inputs and pre-activations of one forward pass, for
-// backpropagation.
+// Tape records one forward pass for backpropagation.
 type Tape struct {
-	inputs [][]float64 // input to each layer
-	pre    [][]float64 // pre-activation of each layer
-	post   [][]float64 // post-activation of each layer
+	layers []tapeLayer
 }
 
-// Forward runs the network and returns the output (no tape).
+// tapeLayer is one layer's record on a Tape.
+type tapeLayer struct {
+	in  []float64 // the layer's input
+	nz  []int32   // ascending indices of in's nonzero entries
+	out []float64 // the layer's output, after activation
+}
+
+// Forward runs the network and returns the output (no tape). It writes
+// nothing into the network, so concurrent Forward calls may share one MLP
+// as long as nothing trains it meanwhile.
 func (n *MLP) Forward(x []float64) []float64 {
-	out, _ := n.forward(x, false)
-	return out
+	return n.forward(x, nil)
 }
 
 // ForwardTape runs the network recording a tape for Backward.
 func (n *MLP) ForwardTape(x []float64) ([]float64, *Tape) {
-	return n.forward(x, true)
+	tape := &Tape{layers: make([]tapeLayer, len(n.layers))}
+	return n.forward(x, tape), tape
 }
 
-func (n *MLP) forward(x []float64, record bool) ([]float64, *Tape) {
+// The kernels below skip every term whose value is an exact zero and keep
+// each remaining sum in its dense index order, so every output, gradient and
+// parameter is bit-identical to the dense loops' (DESIGN.md §15).
+
+func (n *MLP) forward(x []float64, tape *Tape) []float64 {
 	if len(x) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.InputSize()))
 	}
-	var tape *Tape
-	if record {
-		tape = &Tape{}
+	var nz []int32
+	if tape == nil {
+		nz = make([]int32, 0, len(x))
 	}
 	cur := x
-	for _, l := range n.layers {
-		pre := make([]float64, l.out)
-		for o := 0; o < l.out; o++ {
-			sum := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, v := range cur {
-				sum += row[i] * v
-			}
-			pre[o] = sum
+	for li, l := range n.layers {
+		if tape != nil {
+			nz = nonzeros(make([]int32, 0, countNonzero(cur)), cur)
+		} else {
+			nz = nonzeros(nz[:0], cur)
 		}
-		post := make([]float64, l.out)
-		for o, p := range pre {
-			post[o] = l.act.apply(p)
+		out := make([]float64, l.out)
+		l.affine(out, cur, nz)
+		for o, p := range out {
+			out[o] = l.act.apply(p)
 		}
-		if record {
-			tape.inputs = append(tape.inputs, cur)
-			tape.pre = append(tape.pre, pre)
-			tape.post = append(tape.post, post)
+		if tape != nil {
+			tape.layers[li] = tapeLayer{in: cur, nz: nz, out: out}
 		}
-		cur = post
+		cur = out
 	}
-	return cur, tape
+	return cur
+}
+
+func countNonzero(x []float64) int {
+	c := 0
+	for _, v := range x {
+		if v != 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// nonzeros appends the indices of x's nonzero entries to dst, ascending.
+func nonzeros(dst []int32, x []float64) []int32 {
+	for i, v := range x {
+		if v != 0 {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// affine sets out[o] = b[o] + Σ w[o][i]·x[i] over the nonzero inputs nz, in
+// ascending i. Four output rows share one pass over nz, each summing into
+// its own accumulator.
+func (l *layer) affine(out, x []float64, nz []int32) {
+	in := l.in
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		r0 := l.w[o*in : (o+1)*in]
+		r1 := l.w[(o+1)*in : (o+2)*in]
+		r2 := l.w[(o+2)*in : (o+3)*in]
+		r3 := l.w[(o+3)*in : (o+4)*in]
+		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+		for _, i := range nz {
+			v := x[i]
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.out; o++ {
+		row := l.w[o*in : (o+1)*in]
+		s := l.b[o]
+		for _, i := range nz {
+			s += row[i] * x[i]
+		}
+		out[o] = s
+	}
 }
 
 // Backward accumulates parameter gradients for one recorded pass given
-// dLoss/dOutput, and returns dLoss/dInput.
-func (n *MLP) Backward(tape *Tape, gradOut []float64) []float64 {
+// dLoss/dOutput. It does not compute dLoss/dInput.
+func (n *MLP) Backward(tape *Tape, gradOut []float64) {
 	if len(gradOut) != n.OutputSize() {
 		panic(fmt.Sprintf("nn: grad size %d, want %d", len(gradOut), n.OutputSize()))
 	}
-	grad := append([]float64(nil), gradOut...)
+	width := 0
+	for _, l := range n.layers {
+		width = max(width, l.out)
+	}
+	deltas := make([]rowDelta, 0, width)
+	grad := gradOut
 	for li := len(n.layers) - 1; li >= 0; li-- {
-		l := n.layers[li]
-		in := tape.inputs[li]
-		pre := tape.pre[li]
-		post := tape.post[li]
-		// delta = grad ⊙ act'(pre)
-		delta := make([]float64, l.out)
-		for o := range delta {
-			delta[o] = grad[o] * l.act.derivative(pre[o], post[o])
-		}
-		// accumulate grads
-		for o := 0; o < l.out; o++ {
-			gRow := l.gw[o*l.in : (o+1)*l.in]
-			d := delta[o]
-			for i, v := range in {
-				gRow[i] += d * v
+		l, t := n.layers[li], tape.layers[li]
+		// delta = grad ⊙ act'(pre), kept only where it is nonzero.
+		deltas = deltas[:0]
+		for o, g := range grad {
+			if d := g * l.act.derivative(t.out[o]); d != 0 {
+				deltas = append(deltas, rowDelta{o, d})
 			}
-			l.gb[o] += d
 		}
-		// propagate
+		for _, rd := range deltas {
+			gRow := l.gw[rd.row*l.in : (rd.row+1)*l.in]
+			for _, i := range t.nz {
+				gRow[i] += rd.d * t.in[i]
+			}
+			l.gb[rd.row] += rd.d
+		}
+		if li == 0 {
+			return
+		}
 		next := make([]float64, l.in)
-		for o := 0; o < l.out; o++ {
-			row := l.w[o*l.in : (o+1)*l.in]
-			d := delta[o]
-			for i := range next {
-				next[i] += d * row[i]
+		for _, rd := range deltas {
+			row := l.w[rd.row*l.in : (rd.row+1)*l.in]
+			for i, w := range row {
+				next[i] += rd.d * w
 			}
 		}
 		grad = next
 	}
-	return grad
+}
+
+// rowDelta is one output row's nonzero delta in Backward.
+type rowDelta struct {
+	row int
+	d   float64
 }
 
 // Adam hyperparameters.
@@ -223,18 +290,23 @@ func (n *MLP) Step(lr float64) {
 	bc1 := 1 - math.Pow(adamBeta1, float64(n.step))
 	bc2 := 1 - math.Pow(adamBeta2, float64(n.step))
 	for _, l := range n.layers {
-		for i, g := range l.gw {
-			l.mw[i] = adamBeta1*l.mw[i] + (1-adamBeta1)*g
-			l.vw[i] = adamBeta2*l.vw[i] + (1-adamBeta2)*g*g
-			l.w[i] -= lr * (l.mw[i] / bc1) / (math.Sqrt(l.vw[i]/bc2) + adamEps)
-			l.gw[i] = 0
+		adam(l.w, l.gw, l.mw, l.vw, lr, bc1, bc2)
+		adam(l.b, l.gb, l.mb, l.vb, lr, bc1, bc2)
+	}
+}
+
+// adam updates parameters p from gradients g and moments m, v, and zeroes
+// g. A parameter whose gradient and moments are all zero is skipped: its
+// moments would stay zero and its update would be lr·0/ε = +0.
+func adam(p, g, m, v []float64, lr, bc1, bc2 float64) {
+	for i, gi := range g {
+		if gi == 0 && m[i] == 0 && v[i] == 0 {
+			continue
 		}
-		for i, g := range l.gb {
-			l.mb[i] = adamBeta1*l.mb[i] + (1-adamBeta1)*g
-			l.vb[i] = adamBeta2*l.vb[i] + (1-adamBeta2)*g*g
-			l.b[i] -= lr * (l.mb[i] / bc1) / (math.Sqrt(l.vb[i]/bc2) + adamEps)
-			l.gb[i] = 0
-		}
+		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
+		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
+		p[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + adamEps)
+		g[i] = 0
 	}
 }
 

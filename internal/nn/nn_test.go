@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -110,6 +111,38 @@ func TestClone(t *testing.T) {
 	if a.Forward(x)[0] != before {
 		t.Error("training clone mutated original")
 	}
+}
+
+// TestForwardConcurrent shares one network between goroutines running
+// Forward, as read-only inference may; run it under -race.
+func TestForwardConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	n := NewMLP(rng, []int{12, 9, 5}, ReLU, Identity)
+	inputs := make([][]float64, 8)
+	want := make([][]float64, len(inputs))
+	for k := range inputs {
+		inputs[k] = make([]float64, 12)
+		for i := k % 3; i < 12; i += 3 {
+			inputs[k][i] = rng.NormFloat64()
+		}
+		want[k] = n.Forward(inputs[k])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for k, x := range inputs {
+					if got := n.Forward(x); !same(got, want[k]) {
+						t.Errorf("input %d: concurrent Forward = %v, want %v", k, got, want[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSoftmaxMasked(t *testing.T) {
