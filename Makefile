@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos guard defense attackzoo fuzz bench bench-compare fmt vet lint vuln smoke serve obs
+.PHONY: all build test race chaos guard defense attackzoo fuzz fmt vet lint vuln smoke serve obs
 
 all: fmt vet build test
 
@@ -40,7 +40,7 @@ guard:
 # pluggable screener chain, the TRIM robust-retraining screeners (clean
 # zero-false-positive, detection-regime, order-insensitivity and restore
 # guarantees), the guard's screen stage, and the defensesweep ablation
-# drivers (DESIGN.md Â§13).
+# drivers (DESIGN.md §13).
 defense:
 	$(GO) test -race ./internal/defense/... ./internal/guard/...
 	$(GO) test -race ./internal/experiments -run 'Defense'
@@ -100,29 +100,3 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# bench runs the macro benchmarks once each (-benchtime 1x: these are
-# whole-experiment wall-clock probes, one op IS the experiment) and the
-# what-if cache, workload-sweep and nn forward/backward micro benchmarks at
-# fixed iteration counts (one op is a few µs, so 1x would only measure
-# harness overhead), and records everything in BENCH_OUT: ns/op, B/op,
-# allocs/op (-benchmem) plus the custom metrics (whatif-calls/op, hit-rate,
-# recost-frac) per benchmark.
-BENCH_PATTERN ?= MainResult|Fig|Table
-BENCH_OUT ?= BENCH_pr7.json
-
-bench:
-	{ $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem -count 1 . && \
-	  $(GO) test -run '^$$' -bench 'WhatIfCached' -benchtime 20000x -benchmem -count 1 . && \
-	  $(GO) test -run '^$$' -bench 'WorkloadCost' -benchtime 5000x -benchmem -count 1 . && \
-	  $(GO) test -run '^$$' -bench 'NNForwardBackward' -benchtime 5000x -benchmem -count 1 . ; } \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-
-# bench-compare diffs two benchjson summaries and fails on a >20% ns/op
-# regression in any shared benchmark. CI runs it non-blocking (report only);
-# run it locally before landing perf-sensitive changes.
-BENCH_OLD ?= BENCH_pr2.json
-BENCH_NEW ?= BENCH_pr7.json
-
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(BENCH_OLD) $(BENCH_NEW)

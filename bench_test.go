@@ -1,7 +1,9 @@
-// Benchmarks: one macro benchmark per table/figure of the paper's evaluation
-// (scaled-down ScaleTiny budgets; run the full parameterization with
-// cmd/pipa-bench), plus micro benchmarks of the substrates. See DESIGN.md's
-// experiment index for the table/figure ↔ benchmark mapping.
+// Benchmarks: macro probes of the figures and tables no bench/ workload
+// times (scaled-down ScaleTiny budgets; run the full parameterization with
+// cmd/pipa-bench), plus micro benchmarks of the substrates, each a plain
+// `go test -bench` target. Fig. 7 and Table 1 are timed end to end by the
+// paper-grid workload of bench/ (bash bench/run.sh; see bench/README.md).
+// See DESIGN.md's experiment index for the table/figure ↔ benchmark mapping.
 package repro
 
 import (
@@ -45,51 +47,6 @@ func BenchmarkFig1Motivation(b *testing.B) {
 	calls, hits := tinySetup.WhatIf.Stats()
 	b.ReportMetric(float64(calls-calls0)/float64(b.N), "whatif-calls/op")
 	b.ReportMetric(float64(hits-hits0)/float64(b.N), "whatif-hits/op")
-}
-
-// BenchmarkFig7MainResult regenerates Fig. 7's AD boxes (one advisor at
-// bench scale; pipa-bench runs all seven).
-func BenchmarkFig7MainResult(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunMainResult(context.Background(), tinySetup, []string{"DQN-b"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchMainResult runs the Fig. 7 driver over two advisors at a fixed pool
-// width; the Serial/Parallel pair below measures the experiment-runner
-// speedup (results are byte-identical across widths, only wall clock moves).
-func benchMainResult(b *testing.B, workers int) {
-	b.Helper()
-	saved := tinySetup.Workers
-	tinySetup.Workers = workers
-	defer func() { tinySetup.Workers = saved }()
-	calls0, hits0 := tinySetup.WhatIf.Stats()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunMainResult(context.Background(), tinySetup, []string{"DQN-b", "DRLindex-b"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	calls, hits := tinySetup.WhatIf.Stats()
-	b.ReportMetric(float64(calls-calls0)/float64(b.N), "whatif-calls/op")
-	if calls > calls0 {
-		b.ReportMetric(float64(hits-hits0)/float64(calls-calls0), "hit-rate")
-	}
-}
-
-func BenchmarkMainResultSerial(b *testing.B)   { benchMainResult(b, 1) }
-func BenchmarkMainResultParallel(b *testing.B) { benchMainResult(b, 0) }
-
-// BenchmarkTable1RD regenerates the Table 1 RD rows (trial-based advisor).
-func BenchmarkTable1RD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunMainResult(context.Background(), tinySetup, []string{"DRLindex-b"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = r.RD
-	}
 }
 
 // BenchmarkFig8CaseStudies regenerates the Fig. 8 learning-curve traces.

@@ -305,12 +305,6 @@ func (ep *Episode) ChosenSet(col int) bool { return ep.chosenSet[col] }
 // Indexes returns the built index configuration.
 func (ep *Episode) Indexes() []cost.Index { return append([]cost.Index(nil), ep.indexes...) }
 
-// BaseCost returns c(W, d, ∅).
-func (ep *Episode) BaseCost() float64 { return ep.baseCost }
-
-// CurCost returns the cost under the current configuration.
-func (ep *Episode) CurCost() float64 { return ep.curCost }
-
 // TotalReduction returns the trajectory reward 1 - c(W,d,I)/c(W,d,∅).
 func (ep *Episode) TotalReduction() float64 {
 	if ep.baseCost <= 0 {

@@ -65,17 +65,3 @@ func (s *Schema) ColumnCorr(qualified string) float64 {
 	}
 	return c.Corr
 }
-
-// SelectivityEq returns the estimated fraction of rows matching an equality
-// predicate on the column (uniform assumption, null-adjusted).
-func (s *Schema) SelectivityEq(qualified string) float64 {
-	c := s.Column(qualified)
-	if c == nil {
-		return 1
-	}
-	ndv := s.ColumnNDV(qualified)
-	if ndv <= 0 {
-		return 1
-	}
-	return (1 - c.NullFrac) / float64(ndv)
-}

@@ -146,19 +146,5 @@ func (s *IndexSet) Key() string {
 	return strings.Join(keys, ";")
 }
 
-// LeadColumns returns the distinct lead columns of the set's members, sorted.
-func (s *IndexSet) LeadColumns() []string {
-	set := make(map[string]bool, len(s.order))
-	for _, ix := range s.m {
-		set[ix.LeadColumn()] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Clone returns an independent copy of the set.
 func (s *IndexSet) Clone() *IndexSet { return NewIndexSet(s.Slice()...) }

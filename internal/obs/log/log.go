@@ -114,16 +114,6 @@ func (l *Logger) SetTool(tool string) {
 	l.mu.Unlock()
 }
 
-// SetClock replaces the timestamp source (tests).
-func (l *Logger) SetClock(c obs.Clock) {
-	if c == nil {
-		c = time.Now
-	}
-	l.mu.Lock()
-	l.clock = c
-	l.mu.Unlock()
-}
-
 // SetLevel changes the emission threshold.
 func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 

@@ -84,16 +84,6 @@ type Preference struct {
 	SegmentsByEpoch [][3][]string
 }
 
-// Rank returns the 1-based rank of the column, or 0 if absent.
-func (p *Preference) Rank(col string) int {
-	for i, c := range p.Ranking {
-		if c == col {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // StressTester wires PIPA's components: the evaluator's schema, its own
 // cost oracle (for executing probing workloads and filtering injections),
 // the index-aware query generator, and the configuration.

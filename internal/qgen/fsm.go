@@ -201,19 +201,6 @@ func (f *FSM) PredicateINWithSelectivity(col *catalog.Column, sel float64, rng *
 	return sql.Predicate{Column: qn, Op: sql.OpIn, Values: vals}
 }
 
-// legalNextColumns enumerates the candidate columns at a decoding step given
-// the tables already fixed by the FROM state — the FSM's candidate-state set
-// the constrained decoder matches token prefixes against (§3.3).
-func (f *FSM) legalNextColumns(tables []string) []*catalog.Column {
-	var out []*catalog.Column
-	for _, tn := range tables {
-		if t := f.Schema.Table(tn); t != nil {
-			out = append(out, t.Columns...)
-		}
-	}
-	return out
-}
-
 // OptimalSingleColumn returns the best single-column index for the query
 // (the column whose index minimizes what-if cost) and the relative reduction
 // it achieves; ok is false when no index improves on the empty

@@ -1,7 +1,6 @@
 package qgen
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -84,9 +83,6 @@ func (m *LM) Train(samples []Sample, task1, task2, task3 bool) {
 	}
 }
 
-// VocabSize returns the number of distinct sub-tokens seen.
-func (m *LM) VocabSize() int { return len(m.vocab) }
-
 const smoothing = 0.05
 
 // Prob returns the smoothed probability of next given the preceding tokens.
@@ -97,18 +93,6 @@ func (m *LM) Prob(prev []string, next string) float64 {
 		return 1
 	}
 	return (m.counts[ctx][next] + smoothing) / (m.ctxTot[ctx] + smoothing*v)
-}
-
-// ScoreSequence returns the average log-probability per token.
-func (m *LM) ScoreSequence(tokens []string) float64 {
-	if len(tokens) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, tok := range tokens {
-		s += math.Log(m.Prob(tokens[:i], tok))
-	}
-	return s / float64(len(tokens))
 }
 
 // ConstrainedChoose selects one of the candidate identifiers by the paper's

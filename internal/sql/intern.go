@@ -55,12 +55,6 @@ func (s *ColSet) Add(id ColID) {
 	(*s)[w] |= 1 << (id & 63)
 }
 
-// Has reports membership.
-func (s ColSet) Has(id ColID) bool {
-	w := int(id >> 6)
-	return w < len(s) && s[w]&(1<<(id&63)) != 0
-}
-
 // Intersects reports whether the two sets share any column.
 func (s ColSet) Intersects(o ColSet) bool {
 	n := len(s)
