@@ -29,12 +29,13 @@ chaos:
 
 # guard runs the guarded-update suite under -race: the snapshot codec, the
 # advisor Snapshot/Restore round-trips, the guard state machine (canary gate,
-# rollback, breaker, quarantine, SIGKILL kill-and-resume) and the guardsweep
-# experiment drivers (DESIGN.md §9).
+# rollback, breaker, quarantine and its persisted sources, SIGKILL
+# kill-and-resume), the guardsweep drivers, the cross-sweep agreement test
+# and the config-naming journal keys (DESIGN.md §9).
 guard:
 	$(GO) test -race ./internal/snap/... ./internal/guard/... ./internal/advisor/... \
 		-run 'Snapshot|Guard|Quarantine|WriteFileAtomic|TryRestore|Persist'
-	$(GO) test -race ./internal/experiments -run 'GuardSweep|GuardRates'
+	$(GO) test -race ./internal/experiments -run 'GuardSweep|GuardRates|SweepsAgree|JournalKey'
 
 # defense runs the defense-family suite under -race: the sanitizer, the
 # pluggable screener chain, the TRIM robust-retraining screeners (clean
@@ -43,7 +44,7 @@ guard:
 # drivers (DESIGN.md §13).
 defense:
 	$(GO) test -race ./internal/defense/... ./internal/guard/...
-	$(GO) test -race ./internal/experiments -run 'Defense'
+	$(GO) test -race ./internal/experiments -run 'Defense|SweepsAgree|JournalKey'
 
 # attackzoo runs the attack-zoo suite under -race — the injector contract
 # tests (every registry member: resolvable SQL, size bound, fixed-seed

@@ -8,6 +8,8 @@
 //	pipa-bench -exp fig1 -report /tmp/fig1.json
 //	pipa-bench -exp faultsweep -faults 0.4   # AD/RD degradation vs fault rate
 //	pipa-bench -exp guardsweep               # guarded vs unguarded AD across poison rates
+//	pipa-bench -exp defensesweep -advisors DBAbandit-b,Heuristic   # AD per defense arm
+//	pipa-bench -exp attackzoo -injectors FSM,PIPA,ADAPT            # defense arms vs attack families
 //	pipa-bench -exp all -full        # paper-scale budgets; hours
 //
 // SIGINT cancels the experiment grid at the next cell boundary; with
@@ -56,8 +58,8 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale budgets (10 runs, 400 trajectories, P=20)")
 	workers := flag.Int("workers", 0, "parallel experiment cells (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	advisors := flag.String("advisors", strings.Join(registry.PaperAdvisors, ","), "comma-separated advisor list for fig7/table1")
-	guardBudget := flag.Float64("guard-budget", 0.02, "canary regression budget for the guardsweep's guarded victim")
-	modelDir := flag.String("model-dir", "", "persist guarded trainers' last committed snapshots under this directory (guardsweep resumes mid-cell from it)")
+	guardBudget := flag.Float64("guard-budget", 0.02, "canary regression budget of every guarded arm (guardsweep, defensesweep, attackzoo)")
+	modelDir := flag.String("model-dir", "", "persist the guard arm's last committed snapshot (canary gate, no screener) per cell under this directory, so guardsweep, defensesweep and attackzoo resume mid-cell from it; screened arms do not persist")
 	injectors := flag.String("injectors", "", "comma-separated attack-zoo injector list for -exp attackzoo (default: the full registry)")
 	attack := flag.String("attack", "", "attack-zoo injector the guardsweep/faultsweep ladders run instead of PIPA")
 	indexBudget := flag.Int("index-budget", 0, "override the advisors' index budget B (0 = the scale's default; the paper uses 4)")

@@ -61,16 +61,15 @@ func TestDefenseSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, p := range golden.Points {
 		if p.Rate == 0 {
 			// Pure-clean rung: no screener may drop anything.
-			for arm, dropped := range p.Dropped {
-				if dropped != 0 {
-					t.Errorf("rate 0: arm %s dropped %d clean queries", arm, dropped)
+			for arm, a := range p.Arms {
+				if a.Dropped != 0 {
+					t.Errorf("rate 0: arm %s dropped %d clean queries", arm, a.Dropped)
 				}
 			}
 			continue
 		}
-		if p.AD["trim"].Mean > p.AD["unguarded"].Mean {
-			t.Errorf("rate %g: trim AD %+.3f above unguarded %+.3f",
-				p.Rate, p.AD["trim"].Mean, p.AD["unguarded"].Mean)
+		if trimAD, unAD := p.Arms["trim"].AD.Mean, p.Arms["unguarded"].AD.Mean; trimAD > unAD {
+			t.Errorf("rate %g: trim AD %+.3f above unguarded %+.3f", p.Rate, trimAD, unAD)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func RunFaultSweep(ctx context.Context, s *Setup, advisorName string, rates []fl
 	cells, err := par.MapCtx(ctx, s.pool("faultsweep"), len(rates)*nRuns, func(ctx context.Context, i int) (faultCell, error) {
 		ri, run := i/nRuns, i%nRuns
 		rate := rates[ri]
-		return journaled(s, fmt.Sprintf("faultsweep/%s%s/rate=%g/run=%d", advisorName, s.attackKeySuffix(), rate, run), func() (faultCell, error) {
+		return journaled(s, fmt.Sprintf("faultsweep/%s/rate=%g/run=%d", advisorName, rate, run), func() (faultCell, error) {
 			var c faultCell
 			st := s.FaultTester(rate, int64(i))
 			w := s.NormalWorkload(run)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 )
 
@@ -56,13 +57,14 @@ func TestGuardSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var rollbacks uint64
 	for _, p := range golden.Points {
-		rollbacks += p.Rollbacks
+		un, g := p.Arms["unguarded"], p.Arms["guard"]
+		rollbacks += g.Rollbacks
 		if p.Rate == 0 {
 			continue
 		}
-		if p.GuardedAD.Mean >= p.UnguardedAD.Mean {
+		if g.AD.Mean >= un.AD.Mean {
 			t.Errorf("rate %g: guarded AD %+.3f not below unguarded %+.3f",
-				p.Rate, p.GuardedAD.Mean, p.UnguardedAD.Mean)
+				p.Rate, g.AD.Mean, un.AD.Mean)
 		}
 	}
 	if rollbacks == 0 {
@@ -99,5 +101,95 @@ func TestGuardSweepModelDirResume(t *testing.T) {
 	}
 	if runs[0] != runs[1] {
 		t.Errorf("model-dir resume diverges:\n got %s\nwant %s", runs[1], runs[0])
+	}
+}
+
+// TestJournalKeyNamesConfig: a journal written under one guard budget must
+// not replay into a run under another. Rerunning a guardsweep on the same
+// journal with a different GuardBudget has to reproduce a fresh run at that
+// budget, not the first run's cells.
+func TestJournalKeyNamesConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment driver")
+	}
+	rates := []float64{0, 1}
+	run := func(budget float64, j *Journal) string {
+		t.Helper()
+		s := *tinySetup
+		s.Runs = 1
+		s.GuardBudget = budget
+		s.Journal = j
+		r, err := RunGuardSweep(context.Background(), &s, "DBAbandit-b", rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tight := run(0.02, j)
+	got := run(0.5, j)
+	want := run(0.5, nil)
+	if tight == want {
+		t.Fatal("budgets 0.02 and 0.5 give the same sweep; the test cannot tell a stale replay")
+	}
+	if got != want {
+		t.Errorf("budget-0.5 rerun on a budget-0.02 journal diverges from a fresh run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSweepsAgreeOnSharedArms pins by test what the committed goldens show:
+// guardsweep rows are the PIPA unguarded/guard arms of the defense sweep and
+// of the attack zoo, at every rate the ladders share.
+func TestSweepsAgreeOnSharedArms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment driver")
+	}
+	ctx := context.Background()
+	s := *tinySetup
+	pipaOnly := []string{"PIPA"}
+	gs, err := RunGuardSweep(ctx, &s, "DBAbandit-b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := RunDefenseSweep(ctx, &s, "DBAbandit-b", nil, pipaOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoo, err := RunAttackZoo(ctx, &s, "DBAbandit-b", nil, pipaOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, other := range []struct {
+		name   string
+		points []TimelinePoint
+	}{{"defensesweep", ds.Points}, {"attackzoo", zoo.Points}} {
+		for _, g := range gs.Points {
+			for _, p := range other.points {
+				if p.Rate != g.Rate {
+					continue
+				}
+				shared++
+				for _, arm := range []string{"unguarded", "guard"} {
+					want, got := g.Arms[arm], p.Arms[arm]
+					if got.AD != want.AD || got.Commits != want.Commits ||
+						got.Rollbacks != want.Rollbacks || got.Quarantined != want.Quarantined {
+						t.Errorf("%s rate %g arm %s = %+v, guardsweep has %+v", other.name, p.Rate, arm, got, want)
+					}
+				}
+			}
+		}
+	}
+	if shared != len(GuardRates())+len(AttackZooRates()) {
+		t.Errorf("compared %d shared rungs", shared)
 	}
 }

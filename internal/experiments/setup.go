@@ -7,6 +7,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -66,16 +67,18 @@ type Setup struct {
 	FaultRate float64
 	FaultSeed int64
 
-	// GuardBudget is the canary regression budget of guarded-training
-	// drivers (RunGuardSweep): an update whose held-out canary cost
-	// regresses past it is rolled back. GuardEpochs is how many update
-	// batches the guarded timeline replays per cell.
+	// GuardBudget is the canary regression budget of every guarded arm of
+	// the defended-timeline sweeps (RunGuardSweep, RunDefenseSweep,
+	// RunAttackZoo): an update whose held-out canary cost regresses past it
+	// is rolled back. GuardEpochs is how many update batches the timeline
+	// replays per cell.
 	GuardBudget float64
 	GuardEpochs int
 
-	// ModelDir, when non-empty, is where guarded trainers persist their last
-	// committed snapshot (one subdirectory per experiment cell), so a killed
-	// guarded run resumes mid-cell from the last good model.
+	// ModelDir, when non-empty, is where the guard arm (canary gate, no
+	// screener) of every defended-timeline sweep persists its last committed
+	// snapshot, one subdirectory per cell, so a killed run resumes mid-cell
+	// from the last good model. Screened arms do not persist.
 	ModelDir string
 
 	// Journal, when non-nil, checkpoints completed experiment cells so a
@@ -84,9 +87,8 @@ type Setup struct {
 
 	// Attack, when non-empty, selects which attack-zoo injector the
 	// single-attack sweeps (RunGuardSweep, the attack side of RunFaultSweep)
-	// use instead of PIPA — any name in pipa.Injectors. Sweeps run with a
-	// non-default attack journal under keys that include the injector name,
-	// so ladders for different attacks coexist in one journal.
+	// use instead of PIPA — any name in pipa.Injectors. Journal keys include
+	// it (cellKey), so ladders for different attacks coexist in one journal.
 	Attack string
 }
 
@@ -99,13 +101,18 @@ func (s *Setup) AttackName() string {
 	return s.Attack
 }
 
-// attackKeySuffix is the journal-key fragment naming a non-default attack;
-// default-PIPA keys stay in their historical format.
-func (s *Setup) attackKeySuffix() string {
-	if s.AttackName() == "PIPA" {
-		return ""
-	}
-	return "/attack=" + s.AttackName()
+// cellKey is the journal key of one experiment cell: its coordinates plus a
+// digest of every Setup setting a cell reads — benchmark and scale budgets
+// (Name, WorkloadN, AdvCfg including the index budget, PipaCfg), seeds,
+// guard budget and epochs, attack and fault seed — so a journal or model dir
+// written under other settings recomputes instead of replaying stale cells.
+func (s *Setup) cellKey(cell string) string {
+	adv := s.AdvCfg
+	adv.Trace = nil // a func prints as its address
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%d|%+v|%+v|%g|%d|%s|%d", s.Name, s.Seed, s.WorkloadN, adv, s.PipaCfg,
+		s.GuardBudget, s.GuardEpochs, s.AttackName(), s.FaultSeed)
+	return fmt.Sprintf("%s@%016x", cell, h.Sum64())
 }
 
 // NewSetup prepares a benchmark instance. benchmark is "tpch" or "tpcds";

@@ -186,18 +186,24 @@ func (t *Trainer) TryRestore() (bool, error) {
 	return true, nil
 }
 
-// encode writes the quarantine's full state.
+// encode writes the quarantine's full state. The entries' sources follow
+// the entries as one trailing list, so a checkpoint written before sources
+// were persisted still decodes (with empty sources); that is why the
+// quarantine must stay the last field of the guard metadata.
 func (q *Quarantine) encode(e *snap.Encoder) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	e.Uint64(q.next)
 	e.Uint64(q.evicted)
 	e.Uint64(uint64(len(q.entries)))
-	for _, en := range q.entries {
+	sources := make([]string, len(q.entries))
+	for i, en := range q.entries {
 		e.String(en.Query)
 		e.String(en.Reason)
 		e.Uint64(en.Seq)
+		sources[i] = en.Source
 	}
+	e.Strings(sources)
 }
 
 // decodeQuarantine reads a quarantine written by encode, bounded by cap.
@@ -219,6 +225,19 @@ func decodeQuarantine(d *snap.Decoder, cap int) (*Quarantine, error) {
 		}
 		q.entries = append(q.entries, en)
 		q.present[en.Query] = true
+	}
+	if d.Remaining() == 0 {
+		return q, nil // written before sources were persisted
+	}
+	sources := d.Strings()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if len(sources) != len(q.entries) {
+		return nil, fmt.Errorf("%w: %d quarantine sources for %d entries", snap.ErrCorrupt, len(sources), len(q.entries))
+	}
+	for i := range q.entries {
+		q.entries[i].Source = sources[i]
 	}
 	return q, nil
 }

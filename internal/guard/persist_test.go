@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/advisor"
+	"repro/internal/snap"
 )
 
 // stateCanary is a canary hook that is a pure function of the stub's state,
@@ -150,6 +151,67 @@ func TestTryRestoreMissingAndDamaged(t *testing.T) {
 	}
 	if ok, err := newTrainer(dir).TryRestore(); err == nil {
 		t.Fatalf("empty meta: restored=%v err=nil", ok)
+	}
+}
+
+// TestPersistKeepsQuarantineSource: each quarantine entry's source survives
+// Persist → TryRestore, and a checkpoint written before sources were
+// persisted still restores, with empty sources.
+func TestPersistKeepsQuarantineSource(t *testing.T) {
+	dir := t.TempDir()
+	restore := func() *Trainer {
+		t.Helper()
+		stub := &stubAdvisor{}
+		tr, err := NewTrainer(stub, Config{Budget: 0.05, ModelDir: dir, CanaryCost: stateCanary(stub)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.TryRestore(); !ok || err != nil {
+			t.Fatalf("TryRestore = %v, %v", ok, err)
+		}
+		return tr
+	}
+
+	stub := &stubAdvisor{}
+	tr, err := NewTrainer(stub, Config{Budget: 0.05, ModelDir: dir, CanaryCost: stateCanary(stub)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Train(batch(t, 1))
+	q := tr.Quarantine()
+	q.AddSource("q1", "screened", "PIPA")
+	q.AddSource("q2", "screened", "PIPA")
+	q.AddSource("q3", "rolled back", "FSM")
+	q.Add("q4", "rolled back")
+	want := q.BySource()
+	if err := tr.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if got := restore().Quarantine().BySource(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored BySource = %v, want %v", got, want)
+	}
+
+	// The layout before sources were persisted: stats, anchor, then the
+	// quarantine's entries with no trailing source list.
+	var e snap.Encoder
+	for i := 0; i < 8; i++ {
+		e.Uint64(0) // Attempts … Trips
+	}
+	e.Float64(0)   // LastCanaryAD
+	e.Bool(true)   // anchored
+	e.Float64(101) // canaryBase
+	e.Uint64(1)    // next Seq
+	e.Uint64(0)    // evicted
+	e.Uint64(1)    // one entry
+	e.String("q1")
+	e.String("screened")
+	e.Uint64(0)
+	if err := WriteFileAtomic(tr.metaPath(), e.Seal(metaKind)); err != nil {
+		t.Fatal(err)
+	}
+	got := restore().Quarantine().Entries()
+	if len(got) != 1 || got[0].Query != "q1" || got[0].Source != "" {
+		t.Errorf("old-format quarantine = %+v, want q1 with an empty source", got)
 	}
 }
 
