@@ -28,13 +28,14 @@ chaos:
 	FAULT_RATE=$(FAULT_RATE) $(GO) test -race ./...
 
 # guard runs the guarded-update suite under -race: the snapshot codec, the
-# advisor Snapshot/Restore round-trips, the guard state machine (canary gate,
+# advisor Snapshot/Restore round-trips, the restore-by-rewind differential
+# test and the CountingSource clone, the guard state machine (canary gate,
 # rollback, breaker, quarantine and its persisted sources, SIGKILL
 # kill-and-resume), the guardsweep drivers, the cross-sweep agreement test
 # and the config-naming journal keys (DESIGN.md §9).
 guard:
 	$(GO) test -race ./internal/snap/... ./internal/guard/... ./internal/advisor/... \
-		-run 'Snapshot|Guard|Quarantine|WriteFileAtomic|TryRestore|Persist'
+		-run 'Snapshot|Rewind|CountingSource|Guard|Quarantine|WriteFileAtomic|TryRestore|Persist'
 	$(GO) test -race ./internal/experiments -run 'GuardSweep|GuardRates|SweepsAgree|JournalKey'
 
 # defense runs the defense-family suite under -race: the sanitizer, the

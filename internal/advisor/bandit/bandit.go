@@ -44,6 +44,8 @@ type Bandit struct {
 	bestConfig []cost.Index // best super-arm's configuration (-b semantics)
 	bestSig    uint64       // workload signature bestConfig belongs to
 	avg        *advisor.ParamAverager
+
+	restore advisor.Rewinder // the last restored blob, until a mutation drops it
 }
 
 // New creates an untrained bandit advisor.
@@ -79,6 +81,7 @@ func (bd *Bandit) Train(w *workload.Workload) {
 func (bd *Bandit) Retrain(w *workload.Workload) { bd.trainOn(w) }
 
 func (bd *Bandit) trainOn(w *workload.Workload) {
+	bd.restore.Drop()
 	bd.bestSig = advisor.Signature(w)
 	bd.bestConfig = nil
 	feats := bd.env.Featurize(w)
@@ -149,6 +152,7 @@ func (bd *Bandit) CloneAdvisor() advisor.Advisor {
 func (bd *Bandit) Recommend(w *workload.Workload) []cost.Index {
 	feats := bd.env.Featurize(w)
 	if len(bd.arms) == 0 {
+		bd.restore.Drop() // the rebuilt arms are state a rewind would not undo
 		bd.rebuildArms(w, false)
 	}
 	contexts := bd.buildContexts(feats)

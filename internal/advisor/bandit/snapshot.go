@@ -39,8 +39,13 @@ func (bd *Bandit) Snapshot() ([]byte, error) {
 }
 
 // Restore implements advisor.Snapshotter; a bad blob leaves the advisor
-// untouched.
+// untouched. Restoring the blob the advisor already holds only rewinds its
+// RNG (advisor.Rewinder).
 func (bd *Bandit) Restore(blob []byte) error {
+	if src, ok := bd.restore.Rewind(blob); ok {
+		bd.src, bd.rng = src, rand.New(src)
+		return nil
+	}
 	dec, err := snap.Open(blob, snapKind)
 	if err != nil {
 		return err
@@ -122,5 +127,10 @@ func (bd *Bandit) Restore(blob []byte) error {
 	bd.bestTheta, bd.bestR = bestTheta, bestR
 	bd.bestConfig, bd.bestSig = bestConfig, bestSig
 	bd.avg = avg
+	bd.restore.Hold(blob, src)
 	return nil
 }
+
+// RestorePath reports how the last successful Restore ran: "decode" or
+// "rewind".
+func (bd *Bandit) RestorePath() string { return bd.restore.Path() }

@@ -50,6 +50,8 @@ type DQN struct {
 	// per workload and deliver it among that workload's inference trials.
 	bestConfig []cost.Index
 	bestSig    uint64
+
+	restore advisor.Rewinder // the last restored blob, until training drops it
 }
 
 // New creates an untrained DQN advisor.
@@ -89,6 +91,7 @@ func (d *DQN) Retrain(w *workload.Workload) {
 }
 
 func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
+	d.restore.Drop()
 	d.bestSig = advisor.Signature(w)
 	d.bestConfig = nil
 	feats := d.env.Featurize(w)

@@ -33,8 +33,13 @@ func (d *DQN) Snapshot() ([]byte, error) {
 
 // Restore implements advisor.Snapshotter. All decoding happens into
 // temporaries and is committed only after full validation, so a bad blob
-// leaves the advisor untouched.
+// leaves the advisor untouched. Restoring the blob the advisor already holds
+// only rewinds its RNG (advisor.Rewinder).
 func (d *DQN) Restore(blob []byte) error {
+	if src, ok := d.restore.Rewind(blob); ok {
+		d.src, d.rng = src, rand.New(src)
+		return nil
+	}
 	dec, err := snap.Open(blob, snapKind)
 	if err != nil {
 		return err
@@ -85,5 +90,10 @@ func (d *DQN) Restore(blob []byte) error {
 	d.replay = d.replay[:0]
 	d.lastFeatures, d.lastMask = feats, mask
 	d.bestConfig, d.bestSig = best, sig
+	d.restore.Hold(blob, src)
 	return nil
 }
+
+// RestorePath reports how the last successful Restore ran: "decode" or
+// "rewind".
+func (d *DQN) RestorePath() string { return d.restore.Path() }

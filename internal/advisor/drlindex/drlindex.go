@@ -50,6 +50,8 @@ type DRLindex struct {
 	// the DQN counterpart).
 	bestConfig []cost.Index
 	bestSig    uint64
+
+	restore advisor.Rewinder // the last restored blob, until training drops it
 }
 
 // New creates an untrained DRLindex advisor.
@@ -88,6 +90,7 @@ func (d *DRLindex) Retrain(w *workload.Workload) {
 }
 
 func (d *DRLindex) trainOn(w *workload.Workload, anneal bool) {
+	d.restore.Drop()
 	d.bestSig = advisor.Signature(w)
 	d.bestConfig = nil
 	presence := d.env.PresenceVector(w)

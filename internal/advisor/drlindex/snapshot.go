@@ -29,8 +29,13 @@ func (d *DRLindex) Snapshot() ([]byte, error) {
 }
 
 // Restore implements advisor.Snapshotter; a bad blob leaves the advisor
-// untouched.
+// untouched. Restoring the blob the advisor already holds only rewinds its
+// RNG (advisor.Rewinder).
 func (d *DRLindex) Restore(blob []byte) error {
+	if src, ok := d.restore.Rewind(blob); ok {
+		d.src, d.rng = src, rand.New(src)
+		return nil
+	}
 	dec, err := snap.Open(blob, snapKind)
 	if err != nil {
 		return err
@@ -77,5 +82,10 @@ func (d *DRLindex) Restore(blob []byte) error {
 	d.replay = d.replay[:0]
 	d.lastPresence = presence
 	d.bestConfig, d.bestSig = best, sig
+	d.restore.Hold(blob, src)
 	return nil
 }
+
+// RestorePath reports how the last successful Restore ran: "decode" or
+// "rewind".
+func (d *DRLindex) RestorePath() string { return d.restore.Path() }

@@ -17,6 +17,8 @@ type Heuristic struct {
 	env       *advisor.Env
 	budget    int
 	wideCands bool // also consider two-column candidate indexes
+
+	restore advisor.Rewinder // the last restored blob
 }
 
 // New creates the advisor. wideCands additionally enumerates two-column
@@ -37,9 +39,10 @@ func (h *Heuristic) Train(*workload.Workload) {}
 // Retrain is a no-op.
 func (h *Heuristic) Retrain(*workload.Workload) {}
 
-// CloneAdvisor implements advisor.Cloner: the heuristic is stateless, so the
-// clone is the receiver itself.
-func (h *Heuristic) CloneAdvisor() advisor.Advisor { return h }
+// CloneAdvisor implements advisor.Cloner: the heuristic has no trained
+// state, so the clone is a fresh instance. It is not the receiver itself
+// because Restore remembers the blob it decoded last.
+func (h *Heuristic) CloneAdvisor() advisor.Advisor { return New(h.env, h.budget, h.wideCands) }
 
 // Recommend greedily adds the candidate index with the largest marginal
 // what-if cost reduction until the budget is exhausted or no candidate

@@ -19,8 +19,12 @@ func (h *Heuristic) Snapshot() ([]byte, error) {
 	return e.Seal(snapKind), nil
 }
 
-// Restore implements advisor.Snapshotter.
+// Restore implements advisor.Snapshotter. The heuristic has no RNG, so
+// restoring the blob it already holds only skips the decode.
 func (h *Heuristic) Restore(blob []byte) error {
+	if _, ok := h.restore.Rewind(blob); ok {
+		return nil
+	}
 	dec, err := snap.Open(blob, snapKind)
 	if err != nil {
 		return err
@@ -34,5 +38,10 @@ func (h *Heuristic) Restore(blob []byte) error {
 		return fmt.Errorf("%w: heuristic snapshot for budget=%d wide=%v, advisor has %d/%v",
 			snap.ErrKind, budget, wide, h.budget, h.wideCands)
 	}
+	h.restore.Hold(blob, nil)
 	return nil
 }
+
+// RestorePath reports how the last successful Restore ran: "decode" or
+// "rewind".
+func (h *Heuristic) RestorePath() string { return h.restore.Path() }

@@ -1,12 +1,22 @@
 package advisor
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/snap"
+)
+
+// Restore paths: a full decode of the blob, or a rewind of an advisor that
+// already holds it (see Rewinder).
+var (
+	restoreDecodes = obs.GetCounter(obs.Name("advisor_restores_total", "path", "decode"))
+	restoreRewinds = obs.GetCounter(obs.Name("advisor_restores_total", "path", "rewind"))
 )
 
 // Snapshotter is the optional capability guarded training builds on: an
@@ -14,6 +24,10 @@ import (
 // byte-exactly. All five paper advisors implement it. Restore must reject
 // corrupted, truncated or wrong-kind blobs with an error wrapping one of the
 // snap typed errors, leaving the advisor's current state untouched.
+//
+// Restore may keep blob by reference (see Rewinder): restoring the same blob
+// again then only rewinds the RNG. Callers must not modify a blob after
+// passing it to Restore.
 type Snapshotter interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
@@ -69,6 +83,17 @@ func (s *CountingSource) Encode(e *snap.Encoder) {
 	e.Uint64(s.draws)
 }
 
+// Clone returns an independent source at the same (seed, draws) position. It
+// copies the wrapped math/rand generator's state by value instead of
+// replaying the draws, so its cost does not grow with the stream. The copy is
+// deep because that state is a fixed-size array with no pointers.
+func (s *CountingSource) Clone() *CountingSource {
+	v := reflect.ValueOf(s.src).Elem()
+	cp := reflect.New(v.Type())
+	cp.Elem().Set(v)
+	return &CountingSource{seed: s.seed, draws: s.draws, src: cp.Interface().(rand.Source)}
+}
+
 // Decode restores the source from an encoded state: reseed, then replay the
 // recorded number of draws so the next value matches what the snapshotted
 // source would have produced.
@@ -85,6 +110,52 @@ func (s *CountingSource) Decode(d *snap.Decoder) error {
 	s.draws = draws
 	return nil
 }
+
+// Rewinder makes Restore of a blob the advisor already holds a rewind
+// instead of a decode. It remembers the blob last decoded in full and a clone
+// of the RNG taken right after that decode. Until the advisor changes state
+// other than by RNG draws, re-installing a fresh clone of that RNG restores
+// the blob exactly; Train, Retrain and any other such mutation must call
+// Drop. The blob is kept by reference, which is why Snapshotter forbids
+// modifying it after Restore. The zero value holds nothing.
+type Rewinder struct {
+	held []byte
+	src  *CountingSource
+	path string
+}
+
+// Rewind reports whether blob is the held blob and, if so, returns a fresh
+// clone of the RNG saved at decode time (nil for an advisor without one).
+// Comparing the same slice is O(1).
+func (r *Rewinder) Rewind(blob []byte) (*CountingSource, bool) {
+	if r.held == nil || !bytes.Equal(blob, r.held) {
+		return nil, false
+	}
+	restoreRewinds.Inc()
+	r.path = "rewind"
+	if r.src == nil {
+		return nil, true
+	}
+	return r.src.Clone(), true
+}
+
+// Hold records a successful full decode of blob that left the advisor's RNG
+// at src (nil for an advisor without one).
+func (r *Rewinder) Hold(blob []byte, src *CountingSource) {
+	restoreDecodes.Inc()
+	r.path = "decode"
+	r.held, r.src = blob, nil
+	if src != nil {
+		r.src = src.Clone()
+	}
+}
+
+// Drop forgets the held blob, so the next Restore decodes in full.
+func (r *Rewinder) Drop() { r.held, r.src = nil, nil }
+
+// Path reports how the last successful Restore ran: "decode", "rewind", or
+// "" before the first.
+func (r *Rewinder) Path() string { return r.path }
 
 // Encode writes the averager's ring buffer, including empty slots.
 func (a *ParamAverager) Encode(e *snap.Encoder) {

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,6 +59,44 @@ func TestCountingSourceReplay(t *testing.T) {
 	s2, n2 := restored.State()
 	if s1 != s2 || n1 != n2 {
 		t.Fatalf("state mismatch: (%d,%d) vs (%d,%d)", s1, n1, s2, n2)
+	}
+}
+
+// TestCountingSourceClone: a clone sits at the original's exact stream
+// position without replaying it, and the two are independent afterwards.
+func TestCountingSourceClone(t *testing.T) {
+	src := NewCountingSource(11)
+	rng := rand.New(src)
+	for i := 0; i < 1234; i++ {
+		rng.NormFloat64()
+	}
+	c := src.Clone()
+	_, drawn := src.State()
+	encode := func(s *CountingSource) []byte {
+		var e snap.Encoder
+		s.Encode(&e)
+		return e.Seal("t")
+	}
+	if !bytes.Equal(encode(src), encode(c)) {
+		t.Fatal("clone encodes a different (seed, draws)")
+	}
+	// Draw 10,000 values from the clone first: if the two shared generator
+	// state, the original would continue 10,000 values further on.
+	crng := rand.New(c)
+	want := make([]int64, 10000)
+	for i := range want {
+		want[i] = crng.Int63()
+	}
+	if _, n := src.State(); n != drawn {
+		t.Fatalf("drawing from the clone moved the original to %d draws", n)
+	}
+	for i, w := range want {
+		if got := rng.Int63(); got != w {
+			t.Fatalf("clone and original diverge at draw %d", i)
+		}
+	}
+	if !bytes.Equal(encode(src), encode(c)) {
+		t.Fatal("clone and original encode differently after equal draws")
 	}
 }
 

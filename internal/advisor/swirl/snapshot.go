@@ -28,8 +28,13 @@ func (s *SWIRL) Snapshot() ([]byte, error) {
 }
 
 // Restore implements advisor.Snapshotter; a bad blob leaves the advisor
-// untouched.
+// untouched. Restoring the blob the advisor already holds only rewinds its
+// RNG (advisor.Rewinder).
 func (s *SWIRL) Restore(blob []byte) error {
+	if src, ok := s.restore.Rewind(blob); ok {
+		s.src, s.rng = src, rand.New(src)
+		return nil
+	}
 	dec, err := snap.Open(blob, snapKind)
 	if err != nil {
 		return err
@@ -75,5 +80,10 @@ func (s *SWIRL) Restore(blob []byte) error {
 	s.actor, s.critic = actor, critic
 	s.trainMask = mask
 	s.lastFeatures = feats
+	s.restore.Hold(blob, src)
 	return nil
 }
+
+// RestorePath reports how the last successful Restore ran: "decode" or
+// "rewind".
+func (s *SWIRL) RestorePath() string { return s.restore.Path() }

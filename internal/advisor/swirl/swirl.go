@@ -48,6 +48,8 @@ type SWIRL struct {
 	trainMask []bool
 
 	lastFeatures []float64
+
+	restore advisor.Rewinder // the last restored blob, until training drops it
 }
 
 // New creates an untrained SWIRL advisor.
@@ -82,6 +84,7 @@ func (s *SWIRL) Train(w *workload.Workload) {
 func (s *SWIRL) Retrain(w *workload.Workload) { s.trainOn(w) }
 
 func (s *SWIRL) trainOn(w *workload.Workload) {
+	s.restore.Drop()
 	for i, ok := range s.env.SargableMask(w) {
 		if ok {
 			s.trainMask[i] = true

@@ -21,6 +21,12 @@ var (
 		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1})
 )
 
+// restorePather is an advisor that reports how its last successful Restore
+// ran, "decode" or "rewind"; all five paper advisors do.
+type restorePather interface {
+	RestorePath() string
+}
+
 // snapshotRef is one immutable published model: the snap-encoded blob plus
 // its serving version. Publish swaps the whole struct atomically, so a
 // reader always sees a matching (blob, version) pair.
@@ -30,16 +36,20 @@ type snapshotRef struct {
 }
 
 // Model is the serving side of the hot-swap: an atomically-published model
-// snapshot plus a bounded pool of replica advisor instances that decode it
+// snapshot plus a bounded pool of replica advisor instances that restore it
 // per request.
 //
 // Serving is deliberately stateless: every full-tier recommendation restores
 // the current snapshot into a replica before inference, so trial-based
 // advisors (whose Recommend consumes RNG draws) give byte-identical answers
 // for identical requests, and a rolled-back update is invisible — the
-// published snapshot never contained it. Publish never blocks serving:
-// requests that already loaded the previous snapshot finish against it
-// (stale-model serving), later requests see the new one.
+// published snapshot never contained it. The restore is cheap after the
+// first: a replica decodes each published blob once, and restoring the blob
+// it already holds only rewinds its RNG (advisor.Rewinder). Replicas keep
+// the published blob by reference, so a blob must not be modified once
+// passed to NewModel or Publish. Publish never blocks serving: requests that
+// already loaded the previous snapshot finish against it (stale-model
+// serving), later requests see the new one.
 type Model struct {
 	cur      atomic.Pointer[snapshotRef]
 	replicas chan advisor.Advisor
@@ -78,8 +88,10 @@ func (m *Model) Publish(blob []byte) uint64 {
 
 // Recommend answers from the published snapshot: wait for a free replica
 // (bounded by ctx — the ladder's degrade budget), restore the snapshot into
-// it, and run inference. The returned version identifies the snapshot that
-// answered.
+// it, and run inference. The restore decodes only the first time a replica
+// sees a version and rewinds the replica's RNG otherwise; the serve:restore
+// span records which as its "path". The returned version identifies the
+// snapshot that answered.
 func (m *Model) Recommend(ctx context.Context, w *workload.Workload) ([]cost.Index, uint64, error) {
 	snap := m.cur.Load()
 	span := obs.SpanFrom(ctx)
@@ -96,6 +108,9 @@ func (m *Model) Recommend(ctx context.Context, w *workload.Workload) ([]cost.Ind
 			return nil, 0, fmt.Errorf("serve: restore snapshot v%d: %w", snap.version, err)
 		}
 		rst.Annotate("version", strconv.FormatUint(snap.version, 10))
+		if r, ok := rep.(restorePather); ok {
+			rst.Annotate("path", r.RestorePath())
+		}
 		rst.End()
 		restoreSeconds.Observe(time.Since(start).Seconds())
 		restoresTotal.Inc()

@@ -9,9 +9,11 @@
 // Concurrency shape: the advisors themselves are not concurrency-safe, so
 // all training goes through a single trainer goroutine fed by a bounded
 // update queue, and all serving goes through replica instances that restore
-// the published snapshot per request (see Model). The only cross-goroutine
-// artifacts are immutable snapshot blobs, the mutex-guarded caches, and obs
-// counters.
+// the published snapshot per request (see Model). A replica decodes each
+// published version once; later restores of the same blob rewind its RNG.
+// Replicas keep the blob by reference, so published blobs are never
+// modified. The only cross-goroutine artifacts are those immutable snapshot
+// blobs, the mutex-guarded caches, and obs counters.
 package serve
 
 import (
