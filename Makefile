@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos guard defense attackzoo fuzz fmt vet lint vuln smoke serve obs
+.PHONY: all build test race chaos guard defense attackzoo goldens fuzz fmt vet lint vuln smoke serve obs
 
 all: fmt vet build test
 
@@ -58,6 +58,16 @@ attackzoo:
 	$(GO) test -race ./internal/experiments -run 'AttackZoo'
 	$(GO) run -race ./cmd/pipa-bench -exp attackzoo -advisors Heuristic \
 		-injectors FSM,PIPA,BAD+SUB,R-OOD,ADAPT -workers 4
+
+# goldens reruns the Fig. 7 grid and the Fig. 8 case studies and compares
+# their stdout, cache-stats trailer included, byte for byte with the committed
+# results_fig7_tpch1.txt and results_fig8.txt. Both print the same bytes at
+# any -workers. About 60 s and 7 s on 2 vCPUs.
+goldens:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \
+	"$$tmp/pipa-bench" -exp fig8 > "$$tmp/fig8.txt"; cmp "$$tmp/fig8.txt" results_fig8.txt; \
+	"$$tmp/pipa-bench" -exp fig7 > "$$tmp/fig7.txt"; cmp "$$tmp/fig7.txt" results_fig7_tpch1.txt
 
 # serve runs the serving-daemon suite under -race: admission control, the
 # degradation ladder, hot model swap, live rollback under load, the 2×

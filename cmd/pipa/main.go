@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/advisor/registry"
@@ -47,8 +48,9 @@ type runCell struct {
 func main() {
 	benchmark := flag.String("benchmark", "tpch", "benchmark schema: tpch or tpcds")
 	sf := flag.Float64("sf", 1, "scale factor (1 or 10 match the paper's 1GB/10GB)")
-	advisorName := flag.String("advisor", "DQN-b", "victim advisor: DQN-b, DQN-m, DRLindex-b, DRLindex-m, DBAbandit-b, DBAbandit-m, SWIRL, Heuristic")
-	injector := flag.String("injector", "PIPA", "injection strategy: TP, FSM, I-R, I-L, P-C, PIPA")
+	injectorNames := experiments.AttackZooInjectors()
+	advisorName := flag.String("advisor", "DQN-b", "victim advisor: "+strings.Join(registry.Names(), ", "))
+	injector := flag.String("injector", "PIPA", "injection strategy: "+strings.Join(injectorNames, ", "))
 	runs := flag.Int("runs", 3, "independent runs (fresh workload + training each)")
 	workers := flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	full := flag.Bool("full", false, "use the paper-scale budgets (slow)")
@@ -74,6 +76,10 @@ func main() {
 
 	if !registry.Valid(*advisorName) {
 		olog.Error(nil, "unknown advisor", "advisor", *advisorName, "want", strings.Join(registry.Names(), ", "))
+		os.Exit(2)
+	}
+	if !slices.Contains(injectorNames, *injector) {
+		olog.Error(nil, "unknown injector", "injector", *injector, "want", strings.Join(injectorNames, ", "))
 		os.Exit(2)
 	}
 	if *report != "" {
@@ -114,6 +120,7 @@ func main() {
 	setup.Workers = *workers
 	setup.FaultRate = *faults
 	setup.FaultSeed = *faultSeed
+	setup.GuardBudget = *guardBudget
 
 	var journal *experiments.Journal
 	if *checkpoint != "" {
@@ -137,11 +144,6 @@ func main() {
 			inj = candidate
 		}
 	}
-	if inj == nil {
-		olog.Error(nil, "unknown injector", "injector", *injector)
-		os.Exit(2)
-	}
-
 	// The whole grid runs under one trace, handed to the flight recorder when
 	// it finishes; it is retained when a report or the live endpoints read it.
 	if *report != "" || *metricsAddr != "" || *pprofAddr != "" {
@@ -152,7 +154,7 @@ func main() {
 	// Runs are independent (each derives its RNGs from the run index), so
 	// they fan out through a pool and print in run order afterwards.
 	results, err := par.MapCtx(obs.ContextWithSpan(ctx, tr.Root()), par.New("pipa_runs", *workers), *runs, func(ctx context.Context, run int) (runCell, error) {
-		key := fmt.Sprintf("pipa/%s/%s/run=%d", *advisorName, *injector, run)
+		key := runKey(setup, *advisorName, *injector, *guardOn, *faults, run)
 		var c runCell
 		if journal != nil && journal.Lookup(key, &c) {
 			return c, nil
@@ -178,7 +180,7 @@ func main() {
 		var gt *guard.Trainer
 		if *guardOn {
 			gcfg := guard.Config{
-				Budget: *guardBudget,
+				Budget: setup.GuardBudget,
 				Canary: setup.CanaryWorkload(run),
 				Eval:   setup.WhatIf,
 			}
@@ -289,4 +291,12 @@ func main() {
 		}
 		olog.Info(nil, "wrote run report", "path", *report)
 	}
+}
+
+// runKey is the journal key of one run. It names the run's coordinates and,
+// through Setup.CellKey, every setting the run reads, so a checkpoint written
+// under another benchmark, scale, guard or fault configuration recomputes
+// instead of replaying its runs under the new header.
+func runKey(setup *experiments.Setup, advisorName, injector string, guard bool, faults float64, run int) string {
+	return setup.CellKey(fmt.Sprintf("pipa/%s/%s/guard=%t/faults=%g/run=%d", advisorName, injector, guard, faults, run))
 }

@@ -4,8 +4,9 @@
 // Recommend, and observe the recommended indexes — never the internals.
 //
 // Four learned advisors from the paper's evaluation are implemented in
-// subpackages: DQN [20], DRLindex [29,30], DBA-bandit [26] and SWIRL [19],
-// plus the heuristic comparator whose AD is identically zero.
+// subpackages: DQN [20] and DRLindex [29,30] as the two kinds of one
+// Q-learning advisor (dqn), DBA-bandit [26] (bandit) and SWIRL [19] (swirl),
+// plus the heuristic comparator whose AD is identically zero (heuristic).
 package advisor
 
 import (

@@ -1,8 +1,16 @@
-// Package dqn implements the DQN index advisor [20]: a Deep Q-Network over
-// (workload features, current configuration) states with experience replay,
-// a target network, ε-greedy exploration, and heuristic index-candidate
-// filtering. Inference is trial-based: the advisor rolls several trial
-// trajectories and delivers one per the -b/-m variant.
+// Package dqn implements the two Q-learning index advisors of the paper: DQN
+// [20] and DRLindex [29, 30]. Both are a Deep Q-Network over (workload
+// state, current configuration) states with experience replay, a target
+// network and ε-greedy exploration. Inference is trial-based: the advisor
+// rolls several trial trajectories and delivers one per the -b/-m variant.
+//
+// DQN reads workload features and filters index candidates heuristically.
+// DRLindex differs in the design details the paper identifies as its
+// robustness weaknesses (§6.2): (1) a sparse binary query-column presence
+// state — injected workloads touching previously-zero entries swing the
+// parameters dramatically — and (2) an over-sensitive 1/cost-shaped reward,
+// which vibrates under small execution-cost changes. It also applies no
+// candidate filtering: every column is an action.
 package dqn
 
 import (
@@ -15,11 +23,27 @@ import (
 )
 
 const (
-	gamma           = 0.95
 	batchSize       = 32
 	replayCapacity  = 4096
 	targetSyncEvery = 10   // trajectories between target-network syncs
 	inferEpsilon    = 0.15 // trial diversity: best-of-N inference needs spread
+)
+
+// kind is what distinguishes DQN from DRLindex.
+type kind struct {
+	name     string // Name prefix
+	snapKind string // snap envelope kind
+	gamma    float64
+	// presence selects DRLindex's design: the presence state instead of
+	// workload features, no candidate filter, and the inverse-cost reward.
+	presence bool
+}
+
+var (
+	dqnKind = kind{name: "DQN", snapKind: "advisor.dqn", gamma: 0.95}
+	// DRLindex discounts steeply: index-set selection is near-greedy in
+	// marginal benefit.
+	drlindexKind = kind{name: "DRLindex", snapKind: "advisor.drlindex", gamma: 0.3, presence: true}
 )
 
 type transition struct {
@@ -32,17 +56,18 @@ type transition struct {
 
 // DQN is the advisor. It is not safe for concurrent use.
 type DQN struct {
-	env *advisor.Env
-	cfg advisor.Config
-	src *advisor.CountingSource
-	rng *rand.Rand
+	kind kind
+	env  *advisor.Env
+	cfg  advisor.Config
+	src  *advisor.CountingSource
+	rng  *rand.Rand
 
 	net    *nn.MLP
 	target *nn.MLP
 	replay []transition
 
-	lastFeatures []float64 // features of the most recent training workload
-	lastMask     []bool    // candidate filter of that workload
+	lastFeatures []float64 // workload state of the most recent training workload
+	lastMask     []bool    // candidate filter of that workload (nil for DRLindex)
 
 	// bestConfig is the index configuration of the best trajectory seen in
 	// the most recent (re)training, valid only for the workload signature it
@@ -55,22 +80,51 @@ type DQN struct {
 }
 
 // New creates an untrained DQN advisor.
-func New(env *advisor.Env, cfg advisor.Config) *DQN {
+func New(env *advisor.Env, cfg advisor.Config) *DQN { return newKind(dqnKind, env, cfg) }
+
+// NewDRLindex creates an untrained DRLindex advisor.
+func NewDRLindex(env *advisor.Env, cfg advisor.Config) *DQN { return newKind(drlindexKind, env, cfg) }
+
+func newKind(k kind, env *advisor.Env, cfg advisor.Config) *DQN {
 	src := advisor.NewCountingSource(cfg.Seed)
-	d := &DQN{env: env, cfg: cfg, src: src, rng: rand.New(src)}
+	d := &DQN{kind: k, env: env, cfg: cfg, src: src, rng: rand.New(src)}
 	d.reset()
 	return d
 }
 
 func (d *DQN) reset() {
-	stateDim := d.env.L()*advisor.FeatureDim + d.env.L()
+	stateDim := d.featDim() + d.env.L()
 	d.net = nn.NewMLP(d.rng, []int{stateDim, d.cfg.Hidden, d.env.L()}, nn.ReLU, nn.Identity)
 	d.target = d.net.Clone()
 	d.replay = d.replay[:0]
 }
 
+// featDim is the length of the workload part of the state.
+func (d *DQN) featDim() int {
+	if d.kind.presence {
+		return d.env.L()
+	}
+	return d.env.L() * advisor.FeatureDim
+}
+
+// features is the workload part of the state.
+func (d *DQN) features(w *workload.Workload) []float64 {
+	if d.kind.presence {
+		return d.env.PresenceVector(w)
+	}
+	return d.env.Featurize(w)
+}
+
+// filter is the candidate mask over columns; nil admits every column.
+func (d *DQN) filter(w *workload.Workload) []bool {
+	if d.kind.presence {
+		return nil
+	}
+	return d.env.CandidateFilter(w)
+}
+
 // Name implements advisor.Advisor.
-func (d *DQN) Name() string { return "DQN-" + d.cfg.Variant.String() }
+func (d *DQN) Name() string { return d.kind.name + "-" + d.cfg.Variant.String() }
 
 // TrialBased implements advisor.Advisor.
 func (d *DQN) TrialBased() bool { return true }
@@ -94,8 +148,8 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 	d.restore.Drop()
 	d.bestSig = advisor.Signature(w)
 	d.bestConfig = nil
-	feats := d.env.Featurize(w)
-	mask := d.env.CandidateFilter(w)
+	feats := d.features(w)
+	mask := d.filter(w)
 	d.lastFeatures = feats
 	d.lastMask = mask
 
@@ -123,7 +177,7 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			if action < 0 {
 				break
 			}
-			r := ep.Step(action)
+			r := d.step(ep, action)
 			next := d.state(feats, ep)
 			d.remember(transition{state, action, r, next, ep.Done()})
 			d.trainBatch()
@@ -156,12 +210,26 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 	d.target.CopyParamsFrom(d.net)
 }
 
+// step takes the action and returns its training reward. DQN's is the
+// episode's cost reduction. DRLindex's is the over-sensitive per-query 1/cost
+// reward (§6.2): the step change of the mean inverse-cost level. Every query
+// counts equally regardless of its absolute cost, so injected workloads sway
+// this reward in proportion to their query count.
+func (d *DQN) step(ep *advisor.Episode, action int) float64 {
+	if !d.kind.presence {
+		return ep.Step(action)
+	}
+	prevInv := ep.InverseCostReduction()
+	ep.Step(action)
+	return ep.InverseCostReduction() - prevInv
+}
+
 // CloneAdvisor implements advisor.Cloner: a deep copy of the trained state
 // with an independent RNG stream.
 func (d *DQN) CloneAdvisor() advisor.Advisor {
 	src := advisor.NewCountingSource(d.cfg.Seed + 7919)
-	c := &DQN{
-		env: d.env, cfg: d.cfg,
+	return &DQN{
+		kind: d.kind, env: d.env, cfg: d.cfg,
 		src:          src,
 		rng:          rand.New(src),
 		net:          d.net.Clone(),
@@ -172,7 +240,6 @@ func (d *DQN) CloneAdvisor() advisor.Advisor {
 		bestConfig:   append([]cost.Index(nil), d.bestConfig...),
 		bestSig:      d.bestSig,
 	}
-	return c
 }
 
 // Recommend rolls trial trajectories with the trained network. The
@@ -181,10 +248,10 @@ func (d *DQN) CloneAdvisor() advisor.Advisor {
 // the redirection channel PIPA exploits (§5) — intersected with nothing at
 // inference beyond the budget.
 func (d *DQN) Recommend(w *workload.Workload) []cost.Index {
-	feats := d.env.Featurize(w)
+	feats := d.features(w)
 	mask := d.lastMask
 	if mask == nil {
-		mask = d.env.CandidateFilter(w)
+		mask = d.filter(w)
 	}
 	trials := make([]advisor.Trial, 0, d.cfg.InferTrajectories)
 	for t := 0; t < d.cfg.InferTrajectories; t++ {
@@ -213,7 +280,7 @@ func (d *DQN) Recommend(w *workload.Workload) []cost.Index {
 
 // ColumnPreferences implements advisor.Introspector for the clear-box P-C
 // baseline: the initial-state Q-values over candidate columns. Columns
-// pruned by the heuristic filter get zero weight — the sparsity the paper
+// pruned by DQN's heuristic filter get zero weight — the sparsity the paper
 // observes in DQN's true parameters (§6.2).
 func (d *DQN) ColumnPreferences() map[string]float64 {
 	prefs := make(map[string]float64, d.env.L())
@@ -273,7 +340,7 @@ func (d *DQN) trainBatch() {
 		if !tr.done {
 			tq := d.target.Forward(tr.next)
 			best := nn.Argmax(tq, nil)
-			target += gamma * tq[best]
+			target += d.kind.gamma * tq[best]
 		}
 		q, tape := d.net.ForwardTape(tr.state)
 		grad := make([]float64, len(q))

@@ -9,13 +9,12 @@ import (
 	"repro/internal/snap"
 )
 
-// snapKind namespaces DQN snapshots in the snap envelope.
-const snapKind = "advisor.dqn"
-
-// Snapshot implements advisor.Snapshotter. The replay buffer is deliberately
-// excluded: Retrain clears it on entry and Recommend never reads it, so it is
-// not observable across the snapshot boundary — a restored advisor recommends
-// and retrains exactly like the original.
+// Snapshot implements advisor.Snapshotter. Each kind seals under its own
+// envelope kind, and DRLindex, which has no candidate filter, omits the mask.
+// The replay buffer is deliberately excluded: Retrain clears it on entry and
+// Recommend never reads it, so it is not observable across the snapshot
+// boundary — a restored advisor recommends and retrains exactly like the
+// original.
 func (d *DQN) Snapshot() ([]byte, error) {
 	var e snap.Encoder
 	e.Int64(int64(d.cfg.Variant))
@@ -25,10 +24,12 @@ func (d *DQN) Snapshot() ([]byte, error) {
 	d.net.Encode(&e)
 	d.target.Encode(&e)
 	e.Floats(d.lastFeatures)
-	e.Bools(d.lastMask)
+	if !d.kind.presence {
+		e.Bools(d.lastMask)
+	}
 	advisor.EncodeIndexes(&e, d.bestConfig)
 	e.Uint64(d.bestSig)
-	return e.Seal(snapKind), nil
+	return e.Seal(d.kind.snapKind), nil
 }
 
 // Restore implements advisor.Snapshotter. All decoding happens into
@@ -40,7 +41,7 @@ func (d *DQN) Restore(blob []byte) error {
 		d.src, d.rng = src, rand.New(src)
 		return nil
 	}
-	dec, err := snap.Open(blob, snapKind)
+	dec, err := snap.Open(blob, d.kind.snapKind)
 	if err != nil {
 		return err
 	}
@@ -49,8 +50,8 @@ func (d *DQN) Restore(blob []byte) error {
 		return err
 	}
 	if variant != int64(d.cfg.Variant) || l != int64(d.env.L()) || hidden != int64(d.cfg.Hidden) {
-		return fmt.Errorf("%w: dqn snapshot for variant=%d L=%d hidden=%d, advisor has %d/%d/%d",
-			snap.ErrKind, variant, l, hidden, d.cfg.Variant, d.env.L(), d.cfg.Hidden)
+		return fmt.Errorf("%w: %s snapshot for variant=%d L=%d hidden=%d, advisor has %d/%d/%d",
+			snap.ErrKind, d.kind.name, variant, l, hidden, d.cfg.Variant, d.env.L(), d.cfg.Hidden)
 	}
 	src := advisor.NewCountingSource(d.cfg.Seed)
 	if err := src.Decode(dec); err != nil {
@@ -65,7 +66,10 @@ func (d *DQN) Restore(blob []byte) error {
 		return err
 	}
 	feats := dec.Floats()
-	mask := dec.Bools()
+	var mask []bool
+	if !d.kind.presence {
+		mask = dec.Bools()
+	}
 	best, err := advisor.DecodeIndexes(dec)
 	if err != nil {
 		return err
@@ -74,16 +78,16 @@ func (d *DQN) Restore(blob []byte) error {
 	if err := dec.Close(); err != nil {
 		return err
 	}
-	stateDim := d.env.L()*advisor.FeatureDim + d.env.L()
+	stateDim := d.featDim() + d.env.L()
 	if net.InputSize() != stateDim || net.OutputSize() != d.env.L() ||
 		target.InputSize() != stateDim || target.OutputSize() != d.env.L() {
-		return fmt.Errorf("%w: dqn network shape mismatch", snap.ErrCorrupt)
+		return fmt.Errorf("%w: %s network shape mismatch", snap.ErrCorrupt, d.kind.name)
 	}
-	if feats != nil && len(feats) != d.env.L()*advisor.FeatureDim {
-		return fmt.Errorf("%w: dqn feature vector length %d", snap.ErrCorrupt, len(feats))
+	if feats != nil && len(feats) != d.featDim() {
+		return fmt.Errorf("%w: %s state vector length %d", snap.ErrCorrupt, d.kind.name, len(feats))
 	}
 	if mask != nil && len(mask) != d.env.L() {
-		return fmt.Errorf("%w: dqn candidate mask length %d", snap.ErrCorrupt, len(mask))
+		return fmt.Errorf("%w: %s candidate mask length %d", snap.ErrCorrupt, d.kind.name, len(mask))
 	}
 	d.src, d.rng = src, rand.New(src)
 	d.net, d.target = net, target

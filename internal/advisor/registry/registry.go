@@ -1,7 +1,9 @@
 // Package registry constructs the paper's seven advisor variants by name:
 // DQN-b, DQN-m, DRLindex-b, DRLindex-m, DBAbandit-b, DBAbandit-m and SWIRL
-// (§6.1), plus the heuristic control. Experiments and CLI tools resolve
-// advisors through this package.
+// (§6.1), plus the heuristic control. DQN and DRLindex are the two kinds of
+// the one Q-learning advisor in package dqn; the name is the only thing that
+// selects between them. Experiments and CLI tools resolve advisors through
+// this package.
 package registry
 
 import (
@@ -11,7 +13,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/advisor/bandit"
 	"repro/internal/advisor/dqn"
-	"repro/internal/advisor/drlindex"
 	"repro/internal/advisor/heuristic"
 	"repro/internal/advisor/swirl"
 )
@@ -60,7 +61,7 @@ func New(name string, env *advisor.Env, cfg advisor.Config) (advisor.Advisor, er
 		// trajectories to converge.
 		dcfg := cfg
 		dcfg.Trajectories = cfg.Trajectories * 2
-		return drlindex.New(env, dcfg), nil
+		return dqn.NewDRLindex(env, dcfg), nil
 	case "DBAbandit":
 		bcfg := cfg
 		bcfg.Trajectories = max(20, cfg.Trajectories/20)
@@ -98,11 +99,4 @@ func splitVariant(name string) (string, advisor.Variant) {
 		}
 	}
 	return name, advisor.Best
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

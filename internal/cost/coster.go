@@ -120,8 +120,8 @@ func (c *WorkloadCoster) Cost(indexes []Index) float64 {
 
 // CostPer is Cost and additionally copies the per-query costs into per
 // (which must have length Len()) when per is non-nil. The advisor episode
-// loop uses it to maintain DRLindex's per-query reward state without a
-// second sweep.
+// loop uses it to maintain the per-query reward state of DRLindex (the
+// inverse-cost kind of internal/advisor/dqn) without a second sweep.
 func (c *WorkloadCoster) CostPer(indexes []Index, per []float64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

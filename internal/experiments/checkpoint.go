@@ -118,10 +118,10 @@ func (j *Journal) Len() int {
 func (j *Journal) Close() error { return j.f.Close() }
 
 // journaled runs compute for one cell unless the setup's journal already
-// holds its result under s.cellKey(cell); fresh results are recorded before
+// holds its result under s.CellKey(cell); fresh results are recorded before
 // being returned. With no journal configured it is a plain call.
 func journaled[T any](s *Setup, cell string, compute func() (T, error)) (T, error) {
-	key := s.cellKey(cell)
+	key := s.CellKey(cell)
 	var out T
 	if s.Journal != nil && s.Journal.Lookup(key, &out) {
 		return out, nil

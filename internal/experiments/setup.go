@@ -88,7 +88,7 @@ type Setup struct {
 	// Attack, when non-empty, selects which attack-zoo injector the
 	// single-attack sweeps (RunGuardSweep, the attack side of RunFaultSweep)
 	// use instead of PIPA — any name in pipa.Injectors. Journal keys include
-	// it (cellKey), so ladders for different attacks coexist in one journal.
+	// it (CellKey), so ladders for different attacks coexist in one journal.
 	Attack string
 }
 
@@ -101,12 +101,13 @@ func (s *Setup) AttackName() string {
 	return s.Attack
 }
 
-// cellKey is the journal key of one experiment cell: its coordinates plus a
+// CellKey is the journal key of one experiment cell: its coordinates plus a
 // digest of every Setup setting a cell reads — benchmark and scale budgets
 // (Name, WorkloadN, AdvCfg including the index budget, PipaCfg), seeds,
 // guard budget and epochs, attack and fault seed — so a journal or model dir
 // written under other settings recomputes instead of replaying stale cells.
-func (s *Setup) cellKey(cell string) string {
+// Every journal key goes through it, cmd/pipa's per-run keys included.
+func (s *Setup) CellKey(cell string) string {
 	adv := s.AdvCfg
 	adv.Trace = nil // a func prints as its address
 	h := fnv.New64a()

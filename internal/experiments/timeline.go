@@ -220,7 +220,7 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 		// count lives outside the guard checkpoint, so it could not resume.
 		modelDir := ""
 		if arm == "guard" && s.ModelDir != "" {
-			modelDir = filepath.Join(s.ModelDir, strings.ReplaceAll(s.cellKey(cell), "/", "_"))
+			modelDir = filepath.Join(s.ModelDir, strings.ReplaceAll(s.CellKey(cell), "/", "_"))
 		}
 		d, err := fork(arm, seed, modelDir, injName)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package nn is a minimal neural-network library: dense multilayer
 // perceptrons over float64 vectors with backpropagation and Adam. It is the
 // stand-in for the deep-learning stack (PyTorch on GPU servers) the paper's
-// learned index advisors are built on — the DQN/DRLindex Q-networks and
-// SWIRL's PPO actor-critic (internal/advisor) train on it.
+// learned index advisors are built on — the Q-networks of DQN and DRLindex
+// (the two kinds of internal/advisor/dqn) and SWIRL's PPO actor-critic
+// (internal/advisor/swirl) train on it.
 package nn
 
 import (

@@ -134,13 +134,18 @@ func TestModelHotSwapMatchesFreshRestore(t *testing.T) {
 	waitAnswers := func(n int64) {
 		waitUntil(t, time.Minute, "answers", func() bool { return answered.Load() >= n })
 	}
+	// Count each version's answers from its publish: only the requests in
+	// flight at a publish can still report the old version, so perVersion
+	// more answers include the new one however fast the clients run.
+	next := int64(perVersion)
 	for v := 2; v <= versions; v++ {
-		waitAnswers(int64((v - 1) * perVersion))
+		waitAnswers(next)
 		if got := m.Publish(f.blobs[v-1]); got != uint64(v) {
 			t.Fatalf("Publish returned version %d, want %d", got, v)
 		}
+		next = answered.Load() + perVersion
 	}
-	waitAnswers(int64(versions * perVersion))
+	waitAnswers(next)
 	done.Store(true)
 	wg.Wait()
 	decodes := restoreDecodes.Value() - decodes0
