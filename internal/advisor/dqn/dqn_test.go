@@ -140,7 +140,7 @@ func TestInferenceUsesTrainingMask(t *testing.T) {
 // TestCandidateFilterByKind: DQN prunes columns outside the heuristic
 // candidate filter, so its preferences give them zero weight; DRLindex
 // applies no filtering (§6.2), so every column is an action with a learned
-// Q-value. Both report a preference for every column.
+// Q-value.
 func TestCandidateFilterByKind(t *testing.T) {
 	env, w := setup(t)
 	filter := env.CandidateFilter(w)
@@ -161,13 +161,25 @@ func TestCandidateFilterByKind(t *testing.T) {
 				t.Fatalf("training mask recorded = %v", filtered)
 			}
 			prefs := d.ColumnPreferences()
-			if len(prefs) != env.L() {
-				t.Errorf("preferences over %d columns, want %d", len(prefs), env.L())
-			}
 			for _, col := range outside {
 				if zero := prefs[col] == 0; zero != !d.kind.presence {
 					t.Errorf("%s outside the candidate filter: preference %g", col, prefs[col])
 				}
+			}
+		})
+	}
+}
+
+// TestPreferencesCoverAllColumns: a trained advisor of either kind reports a
+// preference for every column, filtered or not.
+func TestPreferencesCoverAllColumns(t *testing.T) {
+	env, w := setup(t)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			d := k.new(env, fastCfg())
+			d.Train(w)
+			if prefs := d.ColumnPreferences(); len(prefs) != env.L() {
+				t.Errorf("preferences over %d columns, want %d", len(prefs), env.L())
 			}
 		})
 	}
