@@ -331,7 +331,12 @@ func BenchmarkEngineExecute(b *testing.B) {
 //     (305 inputs, mostly zeros) with a one-hot TD gradient;
 //   - swirl-actor: SWIRL's tanh actor over the same state plus its budget
 //     entry, with a softmax policy gradient over the valid actions;
-//   - dense-input: the DQN shape fed a fully dense random input.
+//   - dense-input: the DQN shape fed a fully dense random input;
+//   - swirl-actor-step: one Backward and one Adam step per iteration on
+//     SWIRL's actor, whose first layer has the live input columns a SWIRL
+//     training run leaves (the workload's features, every candidate's
+//     configuration entry and the budget entry). It reports that live
+//     share as live-frac.
 func BenchmarkNNForwardBackward(b *testing.B) {
 	s := catalog.TPCH(1)
 	env := advisor.NewEnv(s, cost.NewWhatIf(cost.NewModel(s)))
@@ -379,6 +384,44 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 			}
 		}
 		benchForwardBackward(b, net, state, grad)
+	})
+	b.Run("swirl-actor-step", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		state := append(append([]float64(nil), feats...), make([]float64, L+1)...)
+		state[len(state)-1] = 1
+		net := nn.NewMLP(rng, []int{len(state), hidden, L}, nn.Tanh, nn.Identity)
+		grad := make([]float64, L)
+		for i := range grad {
+			grad[i] = rng.NormFloat64()
+		}
+		// Mark the live columns: one pass per candidate's configuration
+		// entry, as a run's rollouts would, then drop those gradients.
+		live := 0
+		for i, ok := range mask {
+			if ok {
+				state[len(feats)+i] = 1
+				_, tape := net.ForwardTape(state)
+				net.Backward(tape, grad)
+				state[len(feats)+i] = 0
+				live++
+			}
+		}
+		net.ZeroGrad()
+		for _, v := range feats {
+			if v != 0 {
+				live++
+			}
+		}
+		_, tape := net.ForwardTape(state)
+		// Each iteration's Backward gives Step the same gradient, so the
+		// moments settle instead of decaying into subnormals.
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			net.Backward(tape, grad)
+			net.Step(1e-3)
+		}
+		b.ReportMetric(float64(live+1)/float64(len(state)), "live-frac")
 	})
 	b.Run("dense-input", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))

@@ -185,7 +185,7 @@ func main() {
 				Eval:   setup.WhatIf,
 			}
 			if *modelDir != "" {
-				gcfg.ModelDir = filepath.Join(*modelDir, fmt.Sprintf("%s_run%d", *advisorName, run))
+				gcfg.ModelDir = runModelDir(*modelDir, key)
 			}
 			gt, err = guard.NewTrainer(ia, gcfg)
 			if err != nil {
@@ -299,4 +299,12 @@ func main() {
 // instead of replaying its runs under the new header.
 func runKey(setup *experiments.Setup, advisorName, injector string, guard bool, faults float64, run int) string {
 	return setup.CellKey(fmt.Sprintf("pipa/%s/%s/guard=%t/faults=%g/run=%d", advisorName, injector, guard, faults, run))
+}
+
+// runModelDir is the -model-dir directory of the run with journal key key.
+// It is named after the key, as the defended timelines name theirs, so a
+// rerun under another configuration starts from scratch instead of
+// restoring the other configuration's model.
+func runModelDir(root, key string) string {
+	return filepath.Join(root, strings.ReplaceAll(key, "/", "_"))
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
@@ -39,6 +40,41 @@ func TestRunKeyNamesConfig(t *testing.T) {
 	} {
 		if c.key == c.from {
 			t.Errorf("changing the %s leaves the run key at %s", c.setting, c.from)
+		}
+	}
+}
+
+// TestModelDirNamesConfig: a -model-dir written under one configuration must
+// not be restored into a guarded run under another, so each run's model
+// directory has to differ whenever its run key does, and stay one directory
+// below the root.
+func TestModelDirNamesConfig(t *testing.T) {
+	tpch := experiments.NewSetup("tpch", 1, experiments.ScaleTiny)
+	tpcds := experiments.NewSetup("tpcds", 1, experiments.ScaleTiny)
+	budget := *tpch
+	budget.GuardBudget = 0.5
+	scaled := *tpch
+	scaled.AdvCfg.Trajectories *= 8 // the scale's training budget
+
+	dir := func(s *experiments.Setup, advisor string, run int) string {
+		return runModelDir("models", runKey(s, advisor, "PIPA", true, 0, run))
+	}
+	base := dir(tpch, "DQN-b", 0)
+	if filepath.Dir(base) != "models" {
+		t.Fatalf("model dir %s is not one level below the root", base)
+	}
+	if again := dir(tpch, "DQN-b", 0); again != base {
+		t.Fatalf("same configuration, different model dirs: %s vs %s", base, again)
+	}
+	for _, c := range []struct{ setting, dir string }{
+		{"benchmark", dir(tpcds, "DQN-b", 0)},
+		{"scale", dir(&scaled, "DQN-b", 0)},
+		{"guard budget", dir(&budget, "DQN-b", 0)},
+		{"advisor", dir(tpch, "SWIRL", 0)},
+		{"run", dir(tpch, "DQN-b", 1)},
+	} {
+		if c.dir == base {
+			t.Errorf("changing the %s leaves the model dir at %s", c.setting, base)
 		}
 	}
 }

@@ -406,9 +406,10 @@ func NewParamAverager(window int) *ParamAverager {
 	return &ParamAverager{window: window, buf: make([][]float64, window)}
 }
 
-// Push records one snapshot (the slice is copied).
+// Push records one snapshot. The slice is copied into the ring slot it
+// replaces, so the caller may reuse it.
 func (a *ParamAverager) Push(params []float64) {
-	a.buf[a.next] = append([]float64(nil), params...)
+	a.buf[a.next] = append(a.buf[a.next][:0], params...)
 	a.next = (a.next + 1) % a.window
 	if a.filled < a.window {
 		a.filled++

@@ -52,6 +52,12 @@ type transition struct {
 	reward float64
 	next   []float64
 	done   bool
+
+	// nextMax is max_a target(next) without the discount, computed under
+	// target generation gen and valid while the advisor's targetGen is gen
+	// (DESIGN.md §15.3).
+	nextMax float64
+	gen     uint64
 }
 
 // DQN is the advisor. It is not safe for concurrent use.
@@ -65,6 +71,10 @@ type DQN struct {
 	net    *nn.MLP
 	target *nn.MLP
 	replay []transition
+	// targetGen changes whenever the target network's weights may have, so
+	// a memoised max-Q with another generation is stale. reset moves it off
+	// 0 before any transition is stored, so a fresh transition never matches.
+	targetGen uint64
 
 	lastFeatures []float64 // workload state of the most recent training workload
 	lastMask     []bool    // candidate filter of that workload (nil for DRLindex)
@@ -96,7 +106,15 @@ func (d *DQN) reset() {
 	stateDim := d.featDim() + d.env.L()
 	d.net = nn.NewMLP(d.rng, []int{stateDim, d.cfg.Hidden, d.env.L()}, nn.ReLU, nn.Identity)
 	d.target = d.net.Clone()
+	d.targetGen++
 	d.replay = d.replay[:0]
+}
+
+// syncTarget copies the online network's weights into the target network,
+// which makes every memoised max-Q stale.
+func (d *DQN) syncTarget() {
+	d.target.CopyParamsFrom(d.net)
+	d.targetGen++
 }
 
 // featDim is the length of the workload part of the state.
@@ -154,8 +172,12 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 	d.lastMask = mask
 
 	bestReward := -1.0
-	var bestParams []float64
-	avg := advisor.NewParamAverager(d.cfg.MeanWindow)
+	var bestParams []float64 // reused from one best trajectory to the next
+	// Only -m reads the parameter average, and only -b the best parameters.
+	var avg *advisor.ParamAverager
+	if d.cfg.Variant == advisor.Mean {
+		avg = advisor.NewParamAverager(d.cfg.MeanWindow)
+	}
 
 	for t := 0; t < d.cfg.Trajectories; t++ {
 		// Annealed exploration: initial training anneals from fully random;
@@ -179,7 +201,7 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			}
 			r := d.step(ep, action)
 			next := d.state(feats, ep)
-			d.remember(transition{state, action, r, next, ep.Done()})
+			d.remember(transition{state: state, action: action, reward: r, next: next, done: ep.Done()})
 			d.trainBatch()
 		}
 		advisor.RecordTrainReward(d.Name(), ep.TotalReduction())
@@ -188,12 +210,16 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 		}
 		if r := ep.TotalReduction(); r > bestReward {
 			bestReward = r
-			bestParams = d.net.Params()
 			d.bestConfig = ep.Indexes()
+			if d.cfg.Variant == advisor.Best {
+				bestParams = d.net.AppendParams(bestParams[:0])
+			}
 		}
-		avg.Push(d.net.Params())
+		if avg != nil {
+			avg.Push(d.net.Params())
+		}
 		if (t+1)%targetSyncEvery == 0 {
-			d.target.CopyParamsFrom(d.net)
+			d.syncTarget()
 		}
 	}
 
@@ -207,7 +233,7 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			d.net.SetParams(p)
 		}
 	}
-	d.target.CopyParamsFrom(d.net)
+	d.syncTarget()
 }
 
 // step takes the action and returns its training reward. DQN's is the
@@ -235,6 +261,7 @@ func (d *DQN) CloneAdvisor() advisor.Advisor {
 		net:          d.net.Clone(),
 		target:       d.target.Clone(),
 		replay:       append([]transition(nil), d.replay...),
+		targetGen:    d.targetGen,
 		lastFeatures: append([]float64(nil), d.lastFeatures...),
 		lastMask:     append([]bool(nil), d.lastMask...),
 		bestConfig:   append([]cost.Index(nil), d.bestConfig...),
@@ -334,18 +361,28 @@ func (d *DQN) trainBatch() {
 	if len(d.replay) < batchSize {
 		return
 	}
+	grad := make([]float64, d.env.L())
 	for b := 0; b < batchSize; b++ {
-		tr := d.replay[d.rng.Intn(len(d.replay))]
+		tr := &d.replay[d.rng.Intn(len(d.replay))]
 		target := tr.reward
 		if !tr.done {
-			tq := d.target.Forward(tr.next)
-			best := nn.Argmax(tq, nil)
-			target += d.kind.gamma * tq[best]
+			target += d.kind.gamma * d.maxNextQ(tr)
 		}
 		q, tape := d.net.ForwardTape(tr.state)
-		grad := make([]float64, len(q))
 		grad[tr.action] = (q[tr.action] - target) / batchSize
 		d.net.Backward(tape, grad)
+		grad[tr.action] = 0
 	}
 	d.net.Step(d.cfg.LR)
+}
+
+// maxNextQ returns max_a target(tr.next). The target network changes only
+// at a sync, so the value is memoised on the transition until targetGen
+// moves on.
+func (d *DQN) maxNextQ(tr *transition) float64 {
+	if tr.gen != d.targetGen {
+		tq := d.target.Forward(tr.next)
+		tr.nextMax, tr.gen = tq[nn.Argmax(tq, nil)], d.targetGen
+	}
+	return tr.nextMax
 }

@@ -1,12 +1,14 @@
 package dqn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/advisor"
 	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/nn"
 	"repro/internal/sql"
 	"repro/internal/workload"
 )
@@ -273,5 +275,59 @@ func TestRecommendDeterministicPerSeed(t *testing.T) {
 		if a[i].Key() != b[i].Key() {
 			t.Errorf("index %d differs: %s vs %s (same seed must reproduce)", i, a[i].Key(), b[i].Key())
 		}
+	}
+}
+
+// TestTargetMemoFresh: every max-Q memoised under the current target
+// generation must equal, bit for bit, the target network's value now. A
+// sync, or a Clone or Restore that replaces the target, must therefore move
+// the generation on.
+func TestTargetMemoFresh(t *testing.T) {
+	env, w := setup(t)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			d := k.new(env, fastCfg())
+			d.Train(w)
+			check := func(what string, d *DQN) {
+				t.Helper()
+				memos := 0
+				for _, tr := range d.replay {
+					if tr.gen != d.targetGen {
+						continue
+					}
+					memos++
+					tq := d.target.Forward(tr.next)
+					if want := tq[nn.Argmax(tq, nil)]; math.Float64bits(tr.nextMax) != math.Float64bits(want) {
+						t.Fatalf("%s: memoised max-Q %v, target network gives %v", what, tr.nextMax, want)
+					}
+				}
+				if memos == 0 {
+					t.Fatalf("%s: no memoised max-Q to check", what)
+				}
+			}
+			for round := 0; round < 3; round++ {
+				d.trainBatch()
+				d.trainBatch()
+				check("after training", d)
+				d.syncTarget()
+				d.trainBatch()
+				check("after a sync", d)
+			}
+			c := d.CloneAdvisor().(*DQN)
+			c.trainBatch()
+			check("clone", c)
+
+			blob, err := d.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := k.new(env, fastCfg())
+			if err := r.Restore(blob); err != nil {
+				t.Fatal(err)
+			}
+			r.replay = append(r.replay, d.replay...)
+			r.trainBatch()
+			check("restored", r)
+		})
 	}
 }

@@ -91,6 +91,7 @@ func (d *DQN) Restore(blob []byte) error {
 	}
 	d.src, d.rng = src, rand.New(src)
 	d.net, d.target = net, target
+	d.targetGen++
 	d.replay = d.replay[:0]
 	d.lastFeatures, d.lastMask = feats, mask
 	d.bestConfig, d.bestSig = best, sig

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -180,5 +181,58 @@ func TestSnapshotFormatPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want[name] {
 			t.Errorf("%s: snapshot SHA-256 %s, want %s", name, got, want[name])
 		}
+	}
+}
+
+// TestCloneAndSnapshotRetrainAgree: a trained network carries training state
+// its snapshot bytes leave out (each layer's live input columns, and DQN's
+// target-network generation that memoised max-Q values are checked against).
+// A clone copies that state; Restore into a fresh advisor rebuilds it by a
+// full decode. An advisor retrained on either path must seal to the same
+// bytes as its twin taken through Snapshot and Restore, so neither path may
+// lose a live column or keep a stale max-Q.
+func TestCloneAndSnapshotRetrainAgree(t *testing.T) {
+	env, w := testSetup(t)
+	other := workload.GenerateNormal(env.Schema, workload.TPCHTemplates(), 8, rand.New(rand.NewSource(55)))
+	cfg := fastConfig()
+	for _, name := range []string{"DQN-b", "DRLindex-b", "SWIRL"} {
+		t.Run(name, func(t *testing.T) {
+			newAdv := func() advisor.Advisor {
+				a, err := New(name, env, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			snapshot := func(a advisor.Advisor) []byte {
+				b, err := a.(advisor.Snapshotter).Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			trained := newAdv()
+			trained.Train(w)
+			clone := trained.(advisor.Cloner).CloneAdvisor()
+			for _, c := range []struct {
+				path    string
+				subject advisor.Advisor
+			}{{"trained", trained}, {"clone", clone}} {
+				twin := newAdv()
+				if err := twin.(advisor.Snapshotter).Restore(snapshot(c.subject)); err != nil {
+					t.Fatal(err)
+				}
+				if p := twin.(restorePather).RestorePath(); p != "decode" {
+					t.Fatalf("%s: fresh instance restored by %q", c.path, p)
+				}
+				for i, rw := range []*workload.Workload{other, w} {
+					c.subject.Retrain(rw)
+					twin.Retrain(rw)
+					if !bytes.Equal(snapshot(c.subject), snapshot(twin)) {
+						t.Fatalf("%s: retrain %d: snapshot differs from the decoded twin's", c.path, i+1)
+					}
+				}
+			}
+		})
 	}
 }

@@ -94,7 +94,7 @@ func (s *SWIRL) trainOn(w *workload.Workload) {
 	s.lastFeatures = feats
 
 	bestReward := -1.0
-	var bestActor, bestCritic []float64
+	var bestActor, bestCritic []float64 // reused from one best trajectory to the next
 
 	for t := 0; t < s.cfg.Trajectories; t++ {
 		steps, totalReward := s.rollout(w, feats)
@@ -105,8 +105,8 @@ func (s *SWIRL) trainOn(w *workload.Workload) {
 		s.ppoUpdate(steps)
 		if s.cfg.Variant == advisor.Best && totalReward > bestReward {
 			bestReward = totalReward
-			bestActor = s.actor.Params()
-			bestCritic = s.critic.Params()
+			bestActor = s.actor.AppendParams(bestActor[:0])
+			bestCritic = s.critic.AppendParams(bestCritic[:0])
 		}
 	}
 	if s.cfg.Variant == advisor.Best && bestActor != nil {

@@ -69,7 +69,26 @@ func DecodeMLP(d *snap.Decoder) (*MLP, error) {
 		if li > 0 && n.layers[li-1].out != l.in {
 			return nil, fmt.Errorf("%w: mlp layer %d input %d != previous output %d", snap.ErrCorrupt, li, l.in, n.layers[li-1].out)
 		}
+		l.deriveLive()
 		n.layers = append(n.layers, l)
 	}
 	return n, nil
+}
+
+// deriveLive rebuilds the live columns from the optimizer state: a column is
+// live when any of its weights has a nonzero gradient or moment. That may be
+// a subset of the columns the encoded network had marked, but every column
+// it leaves out has g = m = v = +0 throughout, which Step skips anyway.
+func (l *layer) deriveLive() {
+	l.live, l.cols = make([]bool, l.in), nil
+	for j := range l.w {
+		if l.gw[j] != 0 || l.mw[j] != 0 || l.vw[j] != 0 {
+			l.live[j%l.in] = true
+		}
+	}
+	for i, ok := range l.live {
+		if ok {
+			l.cols = append(l.cols, int32(i))
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 // The dense kernels below are the reference the sparse ones in nn.go must
@@ -116,6 +118,19 @@ const (
 	numGradKinds
 )
 
+// twist is what a kernel case does to the sparse network mid-training, on
+// top of the plain Forward/Backward/Step cycle. Every twist acts in step 1.
+type twist int
+
+const (
+	twistNone      twist = iota
+	twistClone           // continue on a Clone taken before step 1
+	twistCodec           // Encode/DecodeMLP after step 1's first pass, gradients pending
+	twistSetParams       // reinstall the initial parameters on both before step 1
+	twistDeadCols        // step 1's batch keeps half the live input positions at zero
+	numTwists
+)
+
 // kernelCase is one differential run: steps Adam steps, each over
 // backwards Forward/Backward passes.
 type kernelCase struct {
@@ -125,11 +140,54 @@ type kernelCase struct {
 	density         float64 // share of input positions that ever carry a nonzero
 	grad            gradKind
 	backwards, step int
+	twist           twist
 }
 
 func (c kernelCase) String() string {
-	return fmt.Sprintf("seed=%d sizes=%v act=%d/%d density=%.2f grad=%d backwards=%d steps=%d",
-		c.seed, c.sizes, c.hidden, c.outAct, c.density, c.grad, c.backwards, c.step)
+	return fmt.Sprintf("seed=%d sizes=%v act=%d/%d density=%.2f grad=%d backwards=%d steps=%d twist=%d",
+		c.seed, c.sizes, c.hidden, c.outAct, c.density, c.grad, c.backwards, c.step, c.twist)
+}
+
+// codecRoundTrip returns n after an Encode/DecodeMLP round trip.
+func codecRoundTrip(t *testing.T, n *MLP) *MLP {
+	t.Helper()
+	var e snap.Encoder
+	n.Encode(&e)
+	d, err := snap.Open(e.Seal("nn.test"), "nn.test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeMLP(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// checkLive fails when a weight outside its layer's live columns carries a
+// nonzero gradient or moment: Step would skip a weight it must update.
+func checkLive(t *testing.T, c kernelCase, what string, n *MLP) {
+	t.Helper()
+	for li, l := range n.layers {
+		marked := 0
+		for _, ok := range l.live {
+			if ok {
+				marked++
+			}
+		}
+		if marked != len(l.cols) || len(l.live) != l.in {
+			t.Fatalf("%v: %s layer %d: %d live marks, %d cols, %d inputs", c, what, li, marked, len(l.cols), l.in)
+		}
+		for j := range l.w {
+			if !l.live[j%l.in] && (l.gw[j] != 0 || l.mw[j] != 0 || l.vw[j] != 0) {
+				t.Fatalf("%v: %s layer %d: weight %d of dead column %d has g=%v m=%v v=%v",
+					c, what, li, j, j%l.in, l.gw[j], l.mw[j], l.vw[j])
+			}
+		}
+	}
 }
 
 // checkKernel runs c through the sparse kernels and the dense reference on
@@ -154,12 +212,26 @@ func checkKernel(t *testing.T, c kernelCase) {
 		return 0
 	}
 	lr := 1e-3 + 0.05*rng.Float64()
+	initial := sparse.Params()
 
 	for s := 0; s < c.step; s++ {
+		if s == 1 {
+			switch c.twist {
+			case twistClone:
+				sparse = sparse.Clone()
+			case twistSetParams:
+				sparse.SetParams(initial)
+				dense.SetParams(initial)
+			}
+		}
 		for b := 0; b < c.backwards; b++ {
+			if s == 1 && b == 1 && c.twist == twistCodec {
+				sparse = codecRoundTrip(t, sparse)
+			}
 			x := make([]float64, in)
 			for i := range x {
-				if live[i] && (c.density >= 1 || rng.Float64() < 0.8) {
+				dead := s == 1 && c.twist == twistDeadCols && i%2 == 0
+				if live[i] && !dead && (c.density >= 1 || rng.Float64() < 0.8) {
 					x[i] = rng.NormFloat64()
 				} else {
 					x[i] = signedZero()
@@ -189,14 +261,19 @@ func checkKernel(t *testing.T, c kernelCase) {
 			}
 			sparse.Backward(tape, g)
 			denseBackward(dense, refTape, g)
+			checkLive(t, c, fmt.Sprintf("step %d pass %d", s, b), sparse)
 			for li := range sparse.layers {
 				where := fmt.Sprintf("step %d pass %d layer %d", s, b, li)
 				mustSameBits(t, c, where+" gw", sparse.layers[li].gw, dense.layers[li].gw)
 				mustSameBits(t, c, where+" gb", sparse.layers[li].gb, dense.layers[li].gb)
 			}
 		}
+		if s == 1 && c.backwards == 1 && c.twist == twistCodec {
+			sparse = codecRoundTrip(t, sparse)
+		}
 		sparse.Step(lr)
 		denseStep(dense, lr)
+		checkLive(t, c, fmt.Sprintf("after step %d", s), sparse)
 		for li := range sparse.layers {
 			sl, dl := sparse.layers[li], dense.layers[li]
 			where := fmt.Sprintf("after step %d layer %d", s, li)
@@ -252,23 +329,53 @@ func TestKernelsMatchDense(t *testing.T) {
 	}
 }
 
+// TestKernelsMatchDenseTwists pins the live-column state of Step to the
+// dense reference across each way a network's state is carried or changed
+// mid-training: Clone, a codec round trip with gradients pending, SetParams,
+// and a batch that leaves previously live columns at zero.
+func TestKernelsMatchDenseTwists(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	acts := []Activation{Identity, ReLU, Tanh}
+	for tw := twist(1); tw < numTwists; tw++ {
+		for _, density := range []float64{0.05, 0.3, 1} {
+			for g := gradKind(0); g < numGradKinds; g++ {
+				sizes := make([]int, 2+rng.Intn(3))
+				for i := range sizes {
+					sizes[i] = 1 + rng.Intn(23)
+				}
+				checkKernel(t, kernelCase{
+					seed: rng.Int63(), sizes: sizes, hidden: acts[rng.Intn(3)], outAct: acts[rng.Intn(3)],
+					density: density, grad: g, backwards: 1 + rng.Intn(3), step: 3, twist: tw,
+				})
+			}
+		}
+	}
+}
+
 // TestKernelsMatchDenseAdvisorShape runs the DQN state shape (305 inputs,
 // few of them nonzero) with a one-hot gradient, and the SWIRL actor shape
-// with a dense gradient, over several Adam steps.
+// with a dense gradient, over several Adam steps; then the SWIRL shape
+// through a codec round trip and the DQN shape through a batch that leaves
+// live columns at zero.
 func TestKernelsMatchDenseAdvisorShape(t *testing.T) {
 	checkKernel(t, kernelCase{seed: 1, sizes: []int{305, 64, 61}, hidden: ReLU, outAct: Identity,
 		density: 0.1, grad: gradOneHot, backwards: 8, step: 6})
 	checkKernel(t, kernelCase{seed: 2, sizes: []int{306, 64, 61}, hidden: Tanh, outAct: Identity,
 		density: 0.1, grad: gradDense, backwards: 4, step: 6})
+	checkKernel(t, kernelCase{seed: 3, sizes: []int{306, 64, 61}, hidden: Tanh, outAct: Identity,
+		density: 0.4, grad: gradMasked, backwards: 4, step: 4, twist: twistCodec})
+	checkKernel(t, kernelCase{seed: 4, sizes: []int{305, 64, 61}, hidden: ReLU, outAct: Identity,
+		density: 0.1, grad: gradOneHot, backwards: 8, step: 4, twist: twistDeadCols})
 }
 
 // FuzzMLPKernel drives the differential check from fuzzed shapes, seeds,
-// densities and modes. dims gives one layer width per byte (2–4 layers);
-// mode packs the two activations, the gradient shape and the Backward
-// calls per Step. The checked-in corpus in testdata/fuzz/FuzzMLPKernel
-// covers each activation and gradient shape once.
+// densities, modes and twists. dims gives one layer width per byte (2–4
+// layers); mode packs the two activations, the gradient shape and the
+// Backward calls per Step. The checked-in corpus in
+// testdata/fuzz/FuzzMLPKernel covers each activation, gradient shape and
+// twist once.
 func FuzzMLPKernel(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, dims []byte, density, mode byte) {
+	f.Fuzz(func(t *testing.T, seed int64, dims []byte, density, mode, tw byte) {
 		if len(dims) < 2 {
 			return
 		}
@@ -287,7 +394,8 @@ func FuzzMLPKernel(f *testing.F) {
 			density:   float64(density) / 255,
 			grad:      gradKind(mode / 9 % byte(numGradKinds)),
 			backwards: 1 + int(mode/36%3),
-			step:      2,
+			step:      3,
+			twist:     twist(tw % byte(numTwists)),
 		})
 	})
 }

@@ -4,6 +4,12 @@
 // learned index advisors are built on — the Q-networks of DQN and DRLindex
 // (the two kinds of internal/advisor/dqn) and SWIRL's PPO actor-critic
 // (internal/advisor/swirl) train on it.
+//
+// Training cuts only work whose result is already known, so every output,
+// gradient and parameter keeps the bits the dense loops give (DESIGN.md
+// §15): the kernels skip exact-zero terms, Step visits only the input
+// columns whose weights ever got a gradient, and a network reuses its tape
+// and gradient scratch from one training pass to the next.
 package nn
 
 import (
@@ -62,6 +68,14 @@ type layer struct {
 	gw, gb []float64 // accumulated gradients
 	mw, vw []float64 // Adam moments for w
 	mb, vb []float64 // Adam moments for b
+
+	// live marks the input columns whose weights ever got a gradient, and
+	// cols lists them. Outside cols every weight's gradient and both moments
+	// are +0, so Step leaves those weights alone (DESIGN.md §15.3).
+	live []bool
+	cols []int32
+
+	dIn []float64 // Backward's input-gradient scratch
 }
 
 func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
@@ -75,6 +89,8 @@ func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 		vw: make([]float64, in*out),
 		mb: make([]float64, out),
 		vb: make([]float64, out),
+
+		live: make([]bool, in),
 	}
 	// He/Xavier-style scaled initialization.
 	scale := math.Sqrt(2.0 / float64(in))
@@ -84,11 +100,28 @@ func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 	return l
 }
 
+// markLive adds the columns nz to the live set.
+func (l *layer) markLive(nz []int32) {
+	if len(l.cols) == l.in {
+		return
+	}
+	for _, i := range nz {
+		if !l.live[i] {
+			l.live[i] = true
+			l.cols = append(l.cols, i)
+		}
+	}
+}
+
 // MLP is a feed-forward network. Forward may run concurrently on a network
 // nothing trains meanwhile; every other method needs exclusive use.
 type MLP struct {
 	layers []*layer
 	step   int
+
+	// Training scratch, reused from pass to pass and never copied.
+	tape   Tape       // ForwardTape's record
+	deltas []rowDelta // Backward's nonzero deltas
 }
 
 // NewMLP builds a network with the given layer sizes (len >= 2): hidden
@@ -121,7 +154,8 @@ func (n *MLP) InputSize() int { return n.layers[0].in }
 // OutputSize returns the output dimensionality.
 func (n *MLP) OutputSize() int { return n.layers[len(n.layers)-1].out }
 
-// Tape records one forward pass for backpropagation.
+// Tape records one forward pass for backpropagation. Each network owns one
+// Tape that every ForwardTape call overwrites.
 type Tape struct {
 	layers []tapeLayer
 }
@@ -140,10 +174,15 @@ func (n *MLP) Forward(x []float64) []float64 {
 	return n.forward(x, nil)
 }
 
-// ForwardTape runs the network recording a tape for Backward.
+// ForwardTape runs the network recording a tape for Backward. The tape and
+// the returned output are the network's own buffers: they stay valid until
+// the next ForwardTape on this network, which overwrites them. The tape
+// refers to x, so x must not change before Backward.
 func (n *MLP) ForwardTape(x []float64) ([]float64, *Tape) {
-	tape := &Tape{layers: make([]tapeLayer, len(n.layers))}
-	return n.forward(x, tape), tape
+	if n.tape.layers == nil {
+		n.tape.layers = make([]tapeLayer, len(n.layers))
+	}
+	return n.forward(x, &n.tape), &n.tape
 }
 
 // The kernels below skip every term whose value is an exact zero and keep
@@ -160,32 +199,25 @@ func (n *MLP) forward(x []float64, tape *Tape) []float64 {
 	}
 	cur := x
 	for li, l := range n.layers {
+		var out []float64
 		if tape != nil {
-			nz = nonzeros(make([]int32, 0, countNonzero(cur)), cur)
+			t := &tape.layers[li]
+			if t.out == nil {
+				t.out = make([]float64, l.out)
+			}
+			t.in, t.nz = cur, nonzeros(t.nz[:0], cur)
+			nz, out = t.nz, t.out
 		} else {
 			nz = nonzeros(nz[:0], cur)
+			out = make([]float64, l.out)
 		}
-		out := make([]float64, l.out)
 		l.affine(out, cur, nz)
 		for o, p := range out {
 			out[o] = l.act.apply(p)
 		}
-		if tape != nil {
-			tape.layers[li] = tapeLayer{in: cur, nz: nz, out: out}
-		}
 		cur = out
 	}
 	return cur
-}
-
-func countNonzero(x []float64) int {
-	c := 0
-	for _, v := range x {
-		if v != 0 {
-			c++
-		}
-	}
-	return c
 }
 
 // nonzeros appends the indices of x's nonzero entries to dst, ascending.
@@ -230,25 +262,27 @@ func (l *layer) affine(out, x []float64, nz []int32) {
 }
 
 // Backward accumulates parameter gradients for one recorded pass given
-// dLoss/dOutput. It does not compute dLoss/dInput.
+// dLoss/dOutput, and adds the input columns that carried a gradient to each
+// layer's live set. It does not compute dLoss/dInput. Its scratch (the
+// nonzero deltas and each hidden layer's input gradient) belongs to the
+// network and is reused by the next call.
 func (n *MLP) Backward(tape *Tape, gradOut []float64) {
 	if len(gradOut) != n.OutputSize() {
 		panic(fmt.Sprintf("nn: grad size %d, want %d", len(gradOut), n.OutputSize()))
 	}
-	width := 0
-	for _, l := range n.layers {
-		width = max(width, l.out)
-	}
-	deltas := make([]rowDelta, 0, width)
 	grad := gradOut
 	for li := len(n.layers) - 1; li >= 0; li-- {
 		l, t := n.layers[li], tape.layers[li]
 		// delta = grad ⊙ act'(pre), kept only where it is nonzero.
-		deltas = deltas[:0]
+		deltas := n.deltas[:0]
 		for o, g := range grad {
 			if d := g * l.act.derivative(t.out[o]); d != 0 {
 				deltas = append(deltas, rowDelta{o, d})
 			}
+		}
+		n.deltas = deltas
+		if len(deltas) > 0 {
+			l.markLive(t.nz)
 		}
 		for _, rd := range deltas {
 			gRow := l.gw[rd.row*l.in : (rd.row+1)*l.in]
@@ -260,7 +294,11 @@ func (n *MLP) Backward(tape *Tape, gradOut []float64) {
 		if li == 0 {
 			return
 		}
-		next := make([]float64, l.in)
+		if l.dIn == nil {
+			l.dIn = make([]float64, l.in)
+		}
+		next := l.dIn
+		clear(next)
 		for _, rd := range deltas {
 			row := l.w[rd.row*l.in : (rd.row+1)*l.in]
 			for i, w := range row {
@@ -285,13 +323,22 @@ const (
 )
 
 // Step applies one Adam update with the accumulated gradients (optionally
-// averaged over batch size by the caller pre-scaling) and zeroes them.
+// averaged over batch size by the caller pre-scaling) and zeroes them. It
+// visits the weights of live input columns only, row by row, until every
+// column is live; biases are always visited.
 func (n *MLP) Step(lr float64) {
 	n.step++
 	bc1 := 1 - math.Pow(adamBeta1, float64(n.step))
 	bc2 := 1 - math.Pow(adamBeta2, float64(n.step))
 	for _, l := range n.layers {
-		adam(l.w, l.gw, l.mw, l.vw, lr, bc1, bc2)
+		if len(l.cols) == l.in {
+			adam(l.w, l.gw, l.mw, l.vw, lr, bc1, bc2)
+		} else if len(l.cols) > 0 {
+			for o := 0; o < l.out; o++ {
+				r := o * l.in
+				adamCols(l.w[r:r+l.in], l.gw[r:r+l.in], l.mw[r:r+l.in], l.vw[r:r+l.in], l.cols, lr, bc1, bc2)
+			}
+		}
 		adam(l.b, l.gb, l.mb, l.vb, lr, bc1, bc2)
 	}
 }
@@ -301,6 +348,21 @@ func (n *MLP) Step(lr float64) {
 // moments would stay zero and its update would be lr·0/ε = +0.
 func adam(p, g, m, v []float64, lr, bc1, bc2 float64) {
 	for i, gi := range g {
+		if gi == 0 && m[i] == 0 && v[i] == 0 {
+			continue
+		}
+		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
+		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
+		p[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + adamEps)
+		g[i] = 0
+	}
+}
+
+// adamCols is adam over the indices cols only, written out rather than
+// calling a per-element helper, which the compiler does not inline.
+func adamCols(p, g, m, v []float64, cols []int32, lr, bc1, bc2 float64) {
+	for _, i := range cols {
+		gi := g[i]
 		if gi == 0 && m[i] == 0 && v[i] == 0 {
 			continue
 		}
@@ -324,17 +386,21 @@ func (n *MLP) ZeroGrad() {
 }
 
 // Params returns a flat copy of all parameters (weights then biases, layer
-// by layer). Used by the -m advisor variants to average trajectories.
-func (n *MLP) Params() []float64 {
-	var out []float64
+// by layer).
+func (n *MLP) Params() []float64 { return n.AppendParams(nil) }
+
+// AppendParams appends the flat parameter vector Params returns to dst, so
+// a caller can keep parameters in a reused buffer.
+func (n *MLP) AppendParams(dst []float64) []float64 {
 	for _, l := range n.layers {
-		out = append(out, l.w...)
-		out = append(out, l.b...)
+		dst = append(dst, l.w...)
+		dst = append(dst, l.b...)
 	}
-	return out
+	return dst
 }
 
-// SetParams installs a flat parameter vector produced by Params.
+// SetParams installs a flat parameter vector produced by Params. It leaves
+// gradients and Adam moments alone, so the live columns stay live.
 func (n *MLP) SetParams(p []float64) {
 	idx := 0
 	for _, l := range n.layers {
@@ -360,6 +426,9 @@ func (n *MLP) Clone() *MLP {
 			vw: append([]float64(nil), l.vw...),
 			mb: append([]float64(nil), l.mb...),
 			vb: append([]float64(nil), l.vb...),
+
+			live: append([]bool(nil), l.live...),
+			cols: append([]int32(nil), l.cols...),
 		}
 		c.layers = append(c.layers, nl)
 	}
@@ -368,7 +437,19 @@ func (n *MLP) Clone() *MLP {
 
 // CopyParamsFrom copies parameters (not optimizer state) from o; the
 // networks must have identical shapes. Used for DQN target networks.
-func (n *MLP) CopyParamsFrom(o *MLP) { n.SetParams(o.Params()) }
+func (n *MLP) CopyParamsFrom(o *MLP) {
+	if len(o.layers) != len(n.layers) {
+		panic(fmt.Sprintf("nn: CopyParamsFrom %d layers, want %d", len(o.layers), len(n.layers)))
+	}
+	for i, l := range n.layers {
+		ol := o.layers[i]
+		if len(ol.w) != len(l.w) || len(ol.b) != len(l.b) {
+			panic(fmt.Sprintf("nn: CopyParamsFrom layer %d shape %dx%d, want %dx%d", i, ol.out, ol.in, l.out, l.in))
+		}
+		copy(l.w, ol.w)
+		copy(l.b, ol.b)
+	}
+}
 
 // Softmax returns the softmax of logits, numerically stabilized. Entries at
 // indices where mask is false receive probability 0; at least one index must

@@ -57,6 +57,10 @@ type IABART struct {
 	LM     *LM
 	Label  Labeler
 	Opts   Options
+
+	// fkAdj is the schema's FK table graph, built once: concurrent Generate
+	// calls read it.
+	fkAdj map[string][]sql.Join
 }
 
 // TrainIABART builds the §3.1 corpus, runs the §3.2 progressive training
@@ -66,7 +70,7 @@ func TrainIABART(f *FSM, w *cost.WhatIf, label Labeler, opts Options, seed int64
 	if label == nil {
 		label = GreedyLabeler(w, opts.LabelBudget)
 	}
-	g := &IABART{FSM: f, WhatIf: w, Label: label, Opts: opts}
+	g := &IABART{FSM: f, WhatIf: w, Label: label, Opts: opts, fkAdj: fkAdjacency(f.Schema)}
 	rng := rand.New(rand.NewSource(seed))
 	corpus := BuildCorpus(f, w, label, opts.CorpusSize, rng)
 	lm := NewLM(3)
@@ -204,9 +208,9 @@ func (g *IABART) usableColumns(cols []string) ([]string, map[string][]*catalog.C
 
 // fkAdjacency builds the undirected table graph induced by FK edges, each
 // edge carrying its join condition.
-func (g *IABART) fkAdjacency() map[string][]sql.Join {
+func fkAdjacency(s *catalog.Schema) map[string][]sql.Join {
 	adj := make(map[string][]sql.Join)
-	for _, t := range g.FSM.Schema.Tables {
+	for _, t := range s.Tables {
 		for _, fk := range t.FKs {
 			if fk.RefTable == t.Name {
 				continue
@@ -228,7 +232,7 @@ func (g *IABART) fkPath(a, b string) []sql.Join {
 	if a == b {
 		return []sql.Join{}
 	}
-	adj := g.fkAdjacency()
+	adj := g.fkAdj
 	type node struct {
 		table string
 		path  []sql.Join
