@@ -59,13 +59,15 @@ attackzoo:
 	$(GO) run -race ./cmd/pipa-bench -exp attackzoo -advisors Heuristic \
 		-injectors FSM,PIPA,BAD+SUB,R-OOD,ADAPT -workers 4
 
-# goldens reruns the Fig. 7 grid and the Fig. 8 case studies and compares
-# their stdout, cache-stats trailer included, byte for byte with the committed
-# results_fig7_tpch1.txt and results_fig8.txt. Both print the same bytes at
-# any -workers. About 60 s and 7 s on 2 vCPUs.
+# goldens reruns the Fig. 1 motivation, the Fig. 7 grid and the Fig. 8 case
+# studies and compares their stdout, cache-stats trailer included, byte for
+# byte with the committed results_fig1.txt, results_fig7_tpch1.txt and
+# results_fig8.txt. All three print the same bytes at any -workers. About
+# 5 s, 60 s and 7 s on 2 vCPUs.
 goldens:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \
+	"$$tmp/pipa-bench" -exp fig1 > "$$tmp/fig1.txt"; cmp "$$tmp/fig1.txt" results_fig1.txt; \
 	"$$tmp/pipa-bench" -exp fig8 > "$$tmp/fig8.txt"; cmp "$$tmp/fig8.txt" results_fig8.txt; \
 	"$$tmp/pipa-bench" -exp fig7 > "$$tmp/fig7.txt"; cmp "$$tmp/fig7.txt" results_fig7_tpch1.txt
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,26 +100,18 @@ func main() {
 		}
 	}
 	zooNames := experiments.AttackZooInjectors()
-	validInjector := func(name string) bool {
-		for _, n := range zooNames {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
 	var injectorList []string
 	if *injectors != "" {
 		injectorList = strings.Split(*injectors, ",")
 		for i, name := range injectorList {
 			injectorList[i] = strings.TrimSpace(name)
-			if !validInjector(injectorList[i]) {
+			if !slices.Contains(zooNames, injectorList[i]) {
 				olog.Error(nil, "unknown injector", "injector", injectorList[i], "want", strings.Join(zooNames, ", "))
 				os.Exit(2)
 			}
 		}
 	}
-	if *attack != "" && !validInjector(*attack) {
+	if *attack != "" && !slices.Contains(zooNames, *attack) {
 		olog.Error(nil, "unknown attack injector", "attack", *attack, "want", strings.Join(zooNames, ", "))
 		os.Exit(2)
 	}

@@ -122,7 +122,6 @@ func main() {
 	setup.FaultSeed = *faultSeed
 	setup.GuardBudget = *guardBudget
 
-	var journal *experiments.Journal
 	if *checkpoint != "" {
 		j, err := experiments.OpenJournal(*checkpoint)
 		if err != nil {
@@ -133,17 +132,10 @@ func main() {
 		if n := j.Len(); n > 0 {
 			olog.Info(nil, "resuming from checkpoint", "path", *checkpoint, "cells_done", fmt.Sprintf("%d", n))
 		}
-		journal = j
 		setup.Journal = j
 	}
 
 	st := setup.Tester()
-	var inj pipa.Injector
-	for _, candidate := range pipa.Injectors(st) {
-		if candidate.Name() == *injector {
-			inj = candidate
-		}
-	}
 	// The whole grid runs under one trace, handed to the flight recorder when
 	// it finishes; it is retained when a report or the live endpoints read it.
 	if *report != "" || *metricsAddr != "" || *pprofAddr != "" {
@@ -152,86 +144,68 @@ func main() {
 	tr := obs.NewTrace("experiment:pipa", nil)
 
 	// Runs are independent (each derives its RNGs from the run index), so
-	// they fan out through a pool and print in run order afterwards.
+	// they fan out through a pool and print in run order afterwards. Each is
+	// journaled under runKey.
 	results, err := par.MapCtx(obs.ContextWithSpan(ctx, tr.Root()), par.New("pipa_runs", *workers), *runs, func(ctx context.Context, run int) (runCell, error) {
-		key := runKey(setup, *advisorName, *injector, *guardOn, *faults, run)
-		var c runCell
-		if journal != nil && journal.Lookup(key, &c) {
-			return c, nil
-		}
-		// Under -faults the attacker's oracle is degraded per run (fresh
-		// injector, breaker, virtual clock) while AD stays on the clean one.
-		tester := st
-		if *faults > 0 {
-			tester = setup.FaultTester(*faults, int64(run))
-		}
-		w := setup.NormalWorkload(run)
-		_, span := obs.StartSpanCtx(ctx, "train:"+*advisorName)
-		ia, err := setup.TrainAdvisor(*advisorName, run, w)
-		span.End()
-		if err != nil {
-			return runCell{}, err
-		}
-		// Under -guard the victim's update path goes through the canary gate:
-		// the stress test's poisoned Retrain is snapshotted, evaluated on the
-		// held-out canary against the clean oracle, and rolled back when it
-		// regresses past the budget.
-		victim := ia
-		var gt *guard.Trainer
-		if *guardOn {
-			gcfg := guard.Config{
-				Budget: setup.GuardBudget,
-				Canary: setup.CanaryWorkload(run),
-				Eval:   setup.WhatIf,
+		return experiments.Journaled(setup, runName(*advisorName, *injector, *guardOn, *faults, run), func() (runCell, error) {
+			var c runCell
+			// Under -faults the attacker's oracle is degraded per run (fresh
+			// injector, breaker, virtual clock) while AD stays on the clean one.
+			tester := st
+			if *faults > 0 {
+				tester = setup.FaultTester(*faults, int64(run))
 			}
-			if *modelDir != "" {
-				gcfg.ModelDir = runModelDir(*modelDir, key)
-			}
-			gt, err = guard.NewTrainer(ia, gcfg)
+			w := setup.NormalWorkload(run)
+			_, span := obs.StartSpanCtx(ctx, "train:"+*advisorName)
+			ia, err := setup.TrainAdvisor(*advisorName, run, w)
+			span.End()
 			if err != nil {
-				return runCell{}, err
+				return c, err
 			}
-			if _, err := gt.TryRestore(); err != nil {
-				return runCell{}, err
-			}
-			victim = gt
-		}
-		// The injector list is bound to a tester; rebuild for the faulty one.
-		in := inj
-		if tester != st {
-			for _, candidate := range pipa.Injectors(tester) {
-				if candidate.Name() == *injector {
-					in = candidate
+			// Under -guard the victim's update path goes through the canary
+			// gate: the stress test's poisoned Retrain is snapshotted,
+			// evaluated on the held-out canary against the clean oracle, and
+			// rolled back when it regresses past the budget.
+			victim := ia
+			var gt *guard.Trainer
+			if *guardOn {
+				gcfg := guard.Config{
+					Budget: setup.GuardBudget,
+					Canary: setup.CanaryWorkload(run),
+					Eval:   setup.WhatIf,
 				}
+				if *modelDir != "" {
+					gcfg.ModelDir = runModelDir(*modelDir, runKey(setup, *advisorName, *injector, *guardOn, *faults, run))
+				}
+				gt, err = guard.NewTrainer(ia, gcfg)
+				if err != nil {
+					return c, err
+				}
+				if _, err := gt.TryRestore(); err != nil {
+					return c, err
+				}
+				victim = gt
 			}
-		}
-		c.Res = tester.StressTest(ctx, victim, in, w, setup.PipaCfg.Na)
-		if gt != nil {
-			c.Guard = gt.Stats()
-			c.GuardOutcome = gt.LastOutcome().String()
-		}
-		if *faults > 0 {
-			c.Faults = tester.WhatIf.FaultStats()
-		}
-		// A cancelled cell is truncated: fail it so it is never journaled.
-		if err := ctx.Err(); err != nil {
-			return runCell{}, err
-		}
-		if journal != nil {
-			if err := journal.Record(key, c); err != nil {
-				return runCell{}, err
+			c.Res = tester.StressTest(ctx, victim, pipa.InjectorByName(tester, *injector), w, setup.PipaCfg.Na)
+			if gt != nil {
+				c.Guard = gt.Stats()
+				c.GuardOutcome = gt.LastOutcome().String()
 			}
-		}
-		return c, nil
+			if *faults > 0 {
+				c.Faults = tester.WhatIf.FaultStats()
+			}
+			// A cancelled cell is truncated: fail it so it is never journaled.
+			return c, ctx.Err()
+		})
 	})
 	tr.End()
 	obs.Default.Flight.Observe(tr)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			olog.Warn(nil, "interrupted")
-			if journal != nil {
+			if setup.Journal != nil {
 				olog.Info(nil, "runs checkpointed; rerun the same command to resume",
-					"done", fmt.Sprintf("%d", journal.Len()), "total", fmt.Sprintf("%d", *runs), "path", *checkpoint)
+					"done", fmt.Sprintf("%d", setup.Journal.Len()), "total", fmt.Sprintf("%d", *runs), "path", *checkpoint)
 			}
 			os.Exit(cli.ExitInterrupted)
 		}
@@ -293,12 +267,18 @@ func main() {
 	}
 }
 
+// runName names one run's coordinates: the journal cell experiments.Journaled
+// files the run under, keyed by runKey.
+func runName(advisorName, injector string, guard bool, faults float64, run int) string {
+	return fmt.Sprintf("pipa/%s/%s/guard=%t/faults=%g/run=%d", advisorName, injector, guard, faults, run)
+}
+
 // runKey is the journal key of one run. It names the run's coordinates and,
 // through Setup.CellKey, every setting the run reads, so a checkpoint written
 // under another benchmark, scale, guard or fault configuration recomputes
 // instead of replaying its runs under the new header.
 func runKey(setup *experiments.Setup, advisorName, injector string, guard bool, faults float64, run int) string {
-	return setup.CellKey(fmt.Sprintf("pipa/%s/%s/guard=%t/faults=%g/run=%d", advisorName, injector, guard, faults, run))
+	return setup.CellKey(runName(advisorName, injector, guard, faults, run))
 }
 
 // runModelDir is the -model-dir directory of the run with journal key key.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -76,5 +77,33 @@ func TestModelDirNamesConfig(t *testing.T) {
 		if c.dir == base {
 			t.Errorf("changing the %s leaves the model dir at %s", c.setting, base)
 		}
+	}
+}
+
+// TestRunJournaledUnderRunKey: a run goes through experiments.Journaled and
+// must land under runKey, whose cell part keeps its format, so a -checkpoint
+// journal written by an earlier build still resumes.
+func TestRunJournaledUnderRunKey(t *testing.T) {
+	s := experiments.NewSetup("tpch", 1, experiments.ScaleTiny)
+	j, err := experiments.OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s.Journal = j
+
+	want := runCell{GuardOutcome: "committed"}
+	if _, err := experiments.Journaled(s, runName("DQN-b", "PIPA", true, 0.1, 2), func() (runCell, error) {
+		return want, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	key := runKey(s, "DQN-b", "PIPA", true, 0.1, 2)
+	if !strings.HasPrefix(key, "pipa/DQN-b/PIPA/guard=true/faults=0.1/run=2@") {
+		t.Errorf("run key %s changed its cell format", key)
+	}
+	var got runCell
+	if !j.Lookup(key, &got) || got.GuardOutcome != want.GuardOutcome {
+		t.Errorf("run not journaled under its run key %s", key)
 	}
 }

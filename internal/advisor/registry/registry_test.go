@@ -76,6 +76,11 @@ func TestAllAdvisorsTrainAndRecommend(t *testing.T) {
 			if ia.Name() != name && name != "Heuristic" {
 				t.Errorf("Name() = %q, want %q", ia.Name(), name)
 			}
+			// The experiment drivers clone every victim off a trained base
+			// and keep no retrain fallback, so every advisor must clone.
+			if _, ok := ia.(advisor.Cloner); !ok {
+				t.Errorf("%s does not implement advisor.Cloner", name)
+			}
 			ia.Train(w)
 			idx := ia.Recommend(w)
 			if len(idx) > fastConfig().Budget {

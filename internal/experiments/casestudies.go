@@ -57,7 +57,7 @@ func RunCaseStudies(ctx context.Context, s *Setup) (*CaseStudies, error) {
 		}
 		ia.Train(w)
 		retrainStart := len(rewards)
-		inj := injectorByName(st, injName)
+		inj := pipa.InjectorByName(st, injName)
 		tw := inj.BuildInjection(ctx, ia, s.PipaCfg.Na)
 		ia.Retrain(w.Merge(tw))
 		if err := ctx.Err(); err != nil {
@@ -90,16 +90,6 @@ func RunCaseStudies(ctx context.Context, s *Setup) (*CaseStudies, error) {
 	recovered := swirl.Recommend(w)
 	out.SwirlRecovered = s.WhatIf.WorkloadCost(w.Queries, w.Freqs, recovered)
 	return out, nil
-}
-
-// injectorByName resolves an injector from the attack-zoo registry.
-func injectorByName(st *pipa.StressTester, name string) pipa.Injector {
-	for _, inj := range pipa.Injectors(st) {
-		if inj.Name() == name {
-			return inj
-		}
-	}
-	panic("experiments: unknown injector " + name)
 }
 
 // String renders the curves compactly (mean reward per quarter of training).

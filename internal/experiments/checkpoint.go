@@ -117,10 +117,11 @@ func (j *Journal) Len() int {
 // Close closes the underlying file; the journal must not be used after.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// journaled runs compute for one cell unless the setup's journal already
+// Journaled runs compute for one cell unless the setup's journal already
 // holds its result under s.CellKey(cell); fresh results are recorded before
-// being returned. With no journal configured it is a plain call.
-func journaled[T any](s *Setup, cell string, compute func() (T, error)) (T, error) {
+// being returned. With no journal configured it is a plain call. It is the
+// one journaling path: every driver and cmd/pipa's runs go through it.
+func Journaled[T any](s *Setup, cell string, compute func() (T, error)) (T, error) {
 	key := s.CellKey(cell)
 	var out T
 	if s.Journal != nil && s.Journal.Lookup(key, &out) {

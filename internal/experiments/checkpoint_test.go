@@ -91,7 +91,7 @@ func TestJournaledSkipsCompletedCells(t *testing.T) {
 	calls := 0
 	compute := func() (float64, error) { calls++; return 1.5, nil }
 	for i := 0; i < 3; i++ {
-		v, err := journaled(s, "cell", compute)
+		v, err := Journaled(s, "cell", compute)
 		if err != nil || v != 1.5 {
 			t.Fatalf("journaled = %v, %v", v, err)
 		}
@@ -101,8 +101,8 @@ func TestJournaledSkipsCompletedCells(t *testing.T) {
 	}
 	// Without a journal it is a plain call every time.
 	plain := &Setup{}
-	journaled(plain, "cell", compute)
-	journaled(plain, "cell", compute)
+	Journaled(plain, "cell", compute)
+	Journaled(plain, "cell", compute)
 	if calls != 3 {
 		t.Fatalf("journal-less calls = %d, want 3", calls)
 	}
@@ -115,7 +115,7 @@ func TestJournaledNeverRecordsFailedCells(t *testing.T) {
 	}
 	defer j.Close()
 	s := &Setup{Journal: j}
-	_, err = journaled(s, "cell", func() (int, error) { return 0, context.Canceled })
+	_, err = Journaled(s, "cell", func() (int, error) { return 0, context.Canceled })
 	if err == nil {
 		t.Fatal("want error")
 	}

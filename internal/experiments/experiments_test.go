@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/advisor"
+	"repro/internal/pipa"
 )
 
 // tinySetup is shared across tests; Setup construction trains IABART once.
@@ -167,11 +171,49 @@ func TestTPCDSPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := st.StressTest(context.Background(), ia, injectorByName(st, "PIPA"), w, s.PipaCfg.Na)
+	res := st.StressTest(context.Background(), ia, pipa.InjectorByName(st, "PIPA"), w, s.PipaCfg.Na)
 	if res.BaselineCost <= 0 {
 		t.Fatalf("degenerate TPC-DS run: %+v", res)
 	}
 	if len(res.BaselineIndexes) == 0 {
 		t.Error("no baseline recommendation on TPC-DS")
+	}
+}
+
+// TestADCellLeavesBaseUntouched: adCell stress-tests clones only, so the base
+// it returns must seal to the bytes of a twin trained for the same run and
+// never attacked. RunMotivation measures its baseline on that base after the
+// stress tests, which is exact only if this holds.
+func TestADCellLeavesBaseUntouched(t *testing.T) {
+	s := tinySetup
+	st := s.Tester()
+	ctx := context.Background()
+	w := s.NormalWorkload(1)
+	for _, name := range []string{"DQN-b", "DBAbandit-b"} {
+		t.Run(name, func(t *testing.T) {
+			base, results, err := s.adCell(ctx, st, name, 1, w, s.PipaCfg.Na,
+				pipa.FSMInjector{Tester: st}, pipa.PIPAInjector{Tester: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 2 {
+				t.Fatalf("%d results for 2 injectors", len(results))
+			}
+			twin, err := s.trainAdvisor(ctx, name, 1, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := base.(advisor.Snapshotter).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.(advisor.Snapshotter).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("the stress tests moved the base: snapshot differs from an untouched twin (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }

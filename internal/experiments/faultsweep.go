@@ -77,32 +77,19 @@ func RunFaultSweep(ctx context.Context, s *Setup, advisorName string, rates []fl
 	cells, err := par.MapCtx(ctx, s.pool("faultsweep"), len(rates)*nRuns, func(ctx context.Context, i int) (faultCell, error) {
 		ri, run := i/nRuns, i%nRuns
 		rate := rates[ri]
-		return journaled(s, fmt.Sprintf("faultsweep/%s/rate=%g/run=%d", advisorName, rate, run), func() (faultCell, error) {
-			var c faultCell
+		return Journaled(s, fmt.Sprintf("faultsweep/%s/rate=%g/run=%d", advisorName, rate, run), func() (faultCell, error) {
 			st := s.FaultTester(rate, int64(i))
-			w := s.NormalWorkload(run)
-			base, err := s.trainAdvisor(ctx, advisorName, run, w)
+			_, results, err := s.adCell(ctx, st, advisorName, run, s.NormalWorkload(run), s.PipaCfg.Na,
+				pipa.FSMInjector{Tester: st}, pipa.InjectorByName(st, s.AttackName()))
 			if err != nil {
-				return c, err
+				return faultCell{}, err
 			}
-			fsmVictim, err := s.cloneOrRetrain(base, advisorName, run, w)
-			if err != nil {
-				return c, err
-			}
-			c.FsmAD = st.StressTest(ctx, fsmVictim, pipa.FSMInjector{Tester: st}, w, s.PipaCfg.Na).AD
-			pipaVictim, err := s.cloneOrRetrain(base, advisorName, run, w)
-			if err != nil {
-				return c, err
-			}
-			c.PipaAD = st.StressTest(ctx, pipaVictim, injectorByName(st, s.AttackName()), w, s.PipaCfg.Na).AD
 			fs := st.WhatIf.FaultStats()
-			c.Injected, c.Retries, c.Giveups = fs.Injected, fs.Retries, fs.Giveups
-			c.Trips, c.Fallbacks = fs.Trips, fs.Fallbacks
-			// A cancelled cell is truncated: fail it so it is never journaled.
-			if err := ctx.Err(); err != nil {
-				return c, err
-			}
-			return c, nil
+			return faultCell{
+				FsmAD: results[0].AD, PipaAD: results[1].AD,
+				Injected: fs.Injected, Retries: fs.Retries, Giveups: fs.Giveups,
+				Trips: fs.Trips, Fallbacks: fs.Fallbacks,
+			}, nil
 		})
 	})
 	if err != nil {

@@ -36,31 +36,16 @@ func RunMotivation(ctx context.Context, s *Setup) (*MotivationResult, error) {
 	// One independent task per run, reduced in run order afterwards.
 	type motiveRun struct{ randAD, toxicAD, baseRed float64 }
 	runs, err := par.MapCtx(ctx, s.pool("motivation"), s.Runs, func(ctx context.Context, run int) (motiveRun, error) {
-		var m motiveRun
 		w := s.NormalWorkload(run)
-		base, err := s.trainAdvisor(ctx, "DQN-b", run, w)
+		base, results, err := s.adCell(ctx, st, "DQN-b", run, w, na,
+			pipa.FSMInjector{Tester: st}, pipa.PIPAInjector{Tester: st})
 		if err != nil {
-			return m, err
+			return motiveRun{}, err
 		}
+		// The stress tests attacked clones, so the base is still as trained.
 		b0 := s.WhatIf.WorkloadCost(w.Queries, w.Freqs, nil)
 		bc := s.WhatIf.WorkloadCost(w.Queries, w.Freqs, base.Recommend(w))
-		m.baseRed = 1 - bc/b0
-
-		randVictim, err := s.cloneOrRetrain(base, "DQN-b", run, w)
-		if err != nil {
-			return m, err
-		}
-		m.randAD = st.StressTest(ctx, randVictim, pipa.FSMInjector{Tester: st}, w, na).AD
-
-		toxicVictim, err := s.cloneOrRetrain(base, "DQN-b", run, w)
-		if err != nil {
-			return m, err
-		}
-		m.toxicAD = st.StressTest(ctx, toxicVictim, pipa.PIPAInjector{Tester: st}, w, na).AD
-		if err := ctx.Err(); err != nil {
-			return m, err
-		}
-		return m, nil
+		return motiveRun{randAD: results[0].AD, toxicAD: results[1].AD, baseRed: 1 - bc/b0}, nil
 	})
 	if err != nil {
 		return nil, err

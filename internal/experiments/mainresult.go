@@ -31,11 +31,11 @@ type MainResult struct {
 // measure AD; RD compares PIPA against the random FSM injection run-by-run
 // (Def. 2.5).
 //
-// The (run, advisor) cells are independent — each derives its RNGs from
+// The (run, advisor) AD cells are independent — each derives its RNGs from
 // (Seed, run) and owns its advisor instances — so they fan out through the
-// setup's worker pool; the injector loop inside a cell stays serial because
-// every injector stress-tests a clone of the same base advisor. Results are
-// assembled run-major afterwards, byte-identical to the serial order.
+// setup's worker pool; inside a cell every injector stress-tests a clone of
+// the same base advisor (Setup.adCell). Results are assembled advisor by
+// advisor afterwards, byte-identical to the serial order.
 //
 // Cancelling ctx stops the grid at the next cell boundary; cells completed
 // before the cancel land in the setup's checkpoint journal (when one is
@@ -45,37 +45,19 @@ func RunMainResult(ctx context.Context, s *Setup, advisors []string) (*MainResul
 	injectors := pipa.PaperInjectors(st)
 	res := &MainResult{Setup: s.Name, RD: make(map[string]float64), Advisors: advisors}
 
-	cells := make(map[string]*MainCell)
-	for _, a := range advisors {
-		for _, inj := range injectors {
-			cells[a+"|"+inj.Name()] = &MainCell{Advisor: a, Injector: inj.Name()}
-		}
-	}
-
-	// One task per (run, advisor): train the base advisor once, then
-	// stress-test a fresh clone against each injector. The StressTester is
-	// stateless (all randomness derives from Cfg.Seed), so tasks share it.
+	// The StressTester is stateless (all randomness derives from Cfg.Seed),
+	// so the cells share it.
 	nAdv := len(advisors)
 	rows, err := par.MapCtx(ctx, s.pool("mainresult"), s.Runs*nAdv, func(ctx context.Context, i int) ([]float64, error) {
 		run, name := i/nAdv, advisors[i%nAdv]
-		return journaled(s, fmt.Sprintf("mainresult/%s/%d", name, run), func() ([]float64, error) {
-			w := s.NormalWorkload(run)
-			base, err := s.trainAdvisor(ctx, name, run, w)
+		return Journaled(s, fmt.Sprintf("mainresult/%s/%d", name, run), func() ([]float64, error) {
+			_, results, err := s.adCell(ctx, st, name, run, s.NormalWorkload(run), s.PipaCfg.Na, injectors...)
 			if err != nil {
 				return nil, err
 			}
-			ads := make([]float64, len(injectors))
-			for k, inj := range injectors {
-				victim, err := s.cloneOrRetrain(base, name, run, w)
-				if err != nil {
-					return nil, err
-				}
-				ads[k] = st.StressTest(ctx, victim, inj, w, s.PipaCfg.Na).AD
-			}
-			// A cancelled cell is truncated, not complete: fail it so it is
-			// never journaled or folded into the result.
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			ads := make([]float64, len(results))
+			for k, r := range results {
+				ads[k] = r.AD
 			}
 			return ads, nil
 		})
@@ -83,28 +65,23 @@ func RunMainResult(ctx context.Context, s *Setup, advisors []string) (*MainResul
 	if err != nil {
 		return nil, err
 	}
-	for run := 0; run < s.Runs; run++ {
-		for ai, name := range advisors {
-			for k, inj := range injectors {
-				cell := cells[name+"|"+inj.Name()]
+
+	for ai, a := range advisors {
+		for k, inj := range injectors {
+			cell := MainCell{Advisor: a, Injector: inj.Name()}
+			for run := 0; run < s.Runs; run++ {
 				cell.ADs = append(cell.ADs, rows[run*nAdv+ai][k])
 			}
-		}
-	}
-
-	for _, a := range advisors {
-		for _, inj := range injectors {
-			cell := cells[a+"|"+inj.Name()]
 			cell.Stats = NewStats(cell.ADs)
-			res.Cells = append(res.Cells, *cell)
+			res.Cells = append(res.Cells, cell)
 		}
 		// Table 1: RD = mean over runs of AD(PIPA) - AD(FSM).
-		pipaCell, fsmCell := cells[a+"|PIPA"], cells[a+"|FSM"]
+		pipaADs, fsmADs := res.Cell(a, "PIPA").ADs, res.Cell(a, "FSM").ADs
 		rd := 0.0
-		for i := range pipaCell.ADs {
-			rd += pipaCell.ADs[i] - fsmCell.ADs[i]
+		for i := range pipaADs {
+			rd += pipaADs[i] - fsmADs[i]
 		}
-		res.RD[a] = rd / float64(len(pipaCell.ADs))
+		res.RD[a] = rd / float64(len(pipaADs))
 	}
 	return res, nil
 }

@@ -252,13 +252,29 @@ func (s *Setup) trainAdvisor(ctx context.Context, name string, run int, w *workl
 	return ia, nil
 }
 
-// cloneOrRetrain returns an independent copy of a trained advisor when
-// supported, falling back to training a fresh one.
-func (s *Setup) cloneOrRetrain(ia advisor.Advisor, name string, run int, w *workload.Workload) (advisor.Advisor, error) {
-	if c, ok := ia.(advisor.Cloner); ok {
-		return c.CloneAdvisor(), nil
+// adCell is the paper's AD cell (§6.2, Def. 2.5), the one place a driver
+// trains a victim and poisons it: it trains the base of (advisor, run) on w,
+// then stress-tests a fresh clone of that base against each injector in
+// order, injecting na queries, so every injector attacks the same trained
+// model and RD compares them run by run. Every registry advisor is an
+// advisor.Cloner (the registry tests assert it). The base itself is never
+// attacked: clones share none of its state and each reseeds its own RNG, so
+// a caller may still measure the base afterwards. A cancelled cell is
+// truncated, not complete, so it fails with ctx.Err() and is never journaled
+// or folded into a result.
+func (s *Setup) adCell(ctx context.Context, st *pipa.StressTester, advisorName string, run int, w *workload.Workload, na int, injs ...pipa.Injector) (advisor.Advisor, []pipa.Result, error) {
+	base, err := s.trainAdvisor(ctx, advisorName, run, w)
+	if err != nil {
+		return nil, nil, err
 	}
-	return s.TrainAdvisor(name, run, w)
+	res := make([]pipa.Result, len(injs))
+	for i, inj := range injs {
+		res[i] = st.StressTest(ctx, base.(advisor.Cloner).CloneAdvisor(), inj, w, na)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return base, res, nil
 }
 
 // Stats summarizes a sample of AD values for one box of Fig. 7.

@@ -41,27 +41,12 @@ func RunInjectionSize(ctx context.Context, s *Setup, advisors []string, omegas [
 		if wSize < 1 {
 			wSize = 1
 		}
-		var c cellResult
-		w := s.NormalWorkloadN(run, wSize)
-		base, err := s.trainAdvisor(ctx, name, run, w)
+		_, results, err := s.adCell(ctx, st, name, run, s.NormalWorkloadN(run, wSize), na,
+			pipa.FSMInjector{Tester: st}, pipa.PIPAInjector{Tester: st})
 		if err != nil {
-			return c, err
+			return cellResult{}, err
 		}
-		fsmVictim, err := s.cloneOrRetrain(base, name, run, w)
-		if err != nil {
-			return c, err
-		}
-		fsmRes := st.StressTest(ctx, fsmVictim, pipa.FSMInjector{Tester: st}, w, na)
-		pipaVictim, err := s.cloneOrRetrain(base, name, run, w)
-		if err != nil {
-			return c, err
-		}
-		pipaRes := st.StressTest(ctx, pipaVictim, pipa.PIPAInjector{Tester: st}, w, na)
-		c.ad, c.rd = pipaRes.AD, pipa.RD(pipaRes, fsmRes)
-		if err := ctx.Err(); err != nil {
-			return c, err
-		}
-		return c, nil
+		return cellResult{ad: results[1].AD, rd: pipa.RD(results[1], results[0])}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -115,18 +100,18 @@ func RunBoundaries(ctx context.Context, s *Setup, advisorName string, starts []i
 	res := &BoundariesResult{Setup: s.Name}
 	// Both sweeps flatten into one fan-out so the pool sees every
 	// (config, run) cell at once.
-	var cells []adCell
+	var cells []sweepCell
 	for _, start := range starts {
 		cfg := s.PipaCfg
 		cfg.MidStart = start
 		cfg.MidEnd = start + 3 // interval of 4 ranks
-		cells = append(cells, adCell{advisor: advisorName, cfg: cfg})
+		cells = append(cells, sweepCell{advisor: advisorName, cfg: cfg})
 	}
 	L := s.Schema.NumColumns()
 	for _, f := range endFracs {
 		cfg := s.PipaCfg
 		cfg.MidEnd = int(f * float64(L))
-		cells = append(cells, adCell{advisor: advisorName, cfg: cfg})
+		cells = append(cells, sweepCell{advisor: advisorName, cfg: cfg})
 	}
 	samples, err := adSamples(ctx, s, "boundaries", cells)
 	if err != nil {
@@ -145,8 +130,8 @@ func RunBoundaries(ctx context.Context, s *Setup, advisorName string, starts []i
 	return res, nil
 }
 
-// adCell is one PIPA stress-test configuration of a parameter sweep.
-type adCell struct {
+// sweepCell is one PIPA stress-test configuration of a parameter sweep.
+type sweepCell struct {
 	advisor string
 	cfg     pipa.Config
 }
@@ -155,7 +140,9 @@ type adCell struct {
 // (cell, run) grid fans out flat through the pool — each task trains its own
 // advisor from (Seed, run) and stress-tests under the cell's PIPA config —
 // and the flat results fold back into one sample slice per cell, in order.
-func adSamples(ctx context.Context, s *Setup, phase string, cells []adCell) ([][]float64, error) {
+// It attacks the trained advisor itself, not an adCell clone: a clone
+// reseeds its RNG, so it would retrain differently (DESIGN.md §7).
+func adSamples(ctx context.Context, s *Setup, phase string, cells []sweepCell) ([][]float64, error) {
 	nRuns := s.Runs
 	flat, err := par.MapCtx(ctx, s.pool(phase), len(cells)*nRuns, func(ctx context.Context, i int) (float64, error) {
 		cell, run := cells[i/nRuns], i%nRuns
@@ -211,12 +198,12 @@ type ProbingEpochsResult struct {
 // advisor.
 func RunProbingEpochs(ctx context.Context, s *Setup, advisors []string, ps []int) (*ProbingEpochsResult, error) {
 	res := &ProbingEpochsResult{Setup: s.Name}
-	var cells []adCell
+	var cells []sweepCell
 	for _, name := range advisors {
 		for _, p := range ps {
 			cfg := s.PipaCfg
 			cfg.P = p
-			cells = append(cells, adCell{advisor: name, cfg: cfg})
+			cells = append(cells, sweepCell{advisor: name, cfg: cfg})
 		}
 	}
 	samples, err := adSamples(ctx, s, "probingepochs", cells)
@@ -262,11 +249,11 @@ type ParamResult struct {
 // probing rounds against ranking error.
 func RunProbingParams(ctx context.Context, s *Setup, advisorName string, alphas, betas []float64) (*ParamResult, error) {
 	res := &ParamResult{Setup: s.Name}
-	var cells []adCell
+	var cells []sweepCell
 	for _, a := range alphas {
 		cfg := s.PipaCfg
 		cfg.Alpha = a
-		cells = append(cells, adCell{advisor: advisorName, cfg: cfg})
+		cells = append(cells, sweepCell{advisor: advisorName, cfg: cfg})
 	}
 	samples, err := adSamples(ctx, s, "probingparams", cells)
 	if err != nil {

@@ -120,7 +120,7 @@ func (s *Setup) runTimeline(ctx context.Context, sw timelineSweep, advisorName s
 		func(ctx context.Context, i int) (timelineCell, error) {
 			ii, ri, run := i/(nRates*nRuns), i/nRuns%nRates, i%nRuns
 			cell := fmt.Sprintf("%s/%s/%s/rate=%g/run=%d", sw.name, advisorName, sw.injectors[ii], sw.rates[ri], run)
-			return journaled(s, cell, func() (timelineCell, error) {
+			return Journaled(s, cell, func() (timelineCell, error) {
 				// Trim seeds mix the cell coordinates so no two cells share
 				// a subset stream, yet reruns of a cell are exact.
 				seed := s.Seed*1_000_003 + sw.seedOffset + int64(ii)*900_001 + int64(sw.rates[ri]*1000)*9_001 + int64(run)
@@ -182,10 +182,7 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 	// which stamps source on its quarantine entries and, with modelDir set,
 	// persists every commit there and resumes from it.
 	fork := func(arm string, trimSeed int64, modelDir, source string) (*armDefense, error) {
-		victim, err := s.cloneOrRetrain(base, advisorName, run, w)
-		if err != nil {
-			return nil, err
-		}
+		victim := base.(advisor.Cloner).CloneAdvisor()
 		d := &armDefense{victim: victim}
 		inner, err := armScreener(arm, victim, s, w, trimSeed)
 		if err != nil {
@@ -211,7 +208,7 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 
 	var fixedToxic *workload.Workload
 	if injName != "ADAPT" {
-		fixedToxic = poisonShare(injectorByName(st, injName).BuildInjection(ctx, base, s.PipaCfg.Na), rate)
+		fixedToxic = poisonShare(pipa.InjectorByName(st, injName).BuildInjection(ctx, base, s.PipaCfg.Na), rate)
 	}
 
 	for _, arm := range arms {

@@ -163,12 +163,23 @@ func PaperInjectors(st *StressTester) []Injector {
 // R-OOD / N-OOD distribution pair, ablation.go), and the ADAPT guard-aware
 // attacker (adapt.go; oracle-less here, so it degrades to plain PIPA — the
 // attack-zoo experiment wires its verdict oracle per defense arm). This is
-// the registry injectorByName-style lookups resolve against.
+// the registry InjectorByName resolves against.
 func Injectors(st *StressTester) []Injector {
 	return append(PaperInjectors(st),
 		BADInjector{st}, SUBInjector{st}, BadSubInjector{st},
 		ROODInjector{st}, NOODInjector{st}, AdaptInjector{Tester: st},
 	)
+}
+
+// InjectorByName resolves a registry member over st by name. It panics on a
+// name outside the registry: callers validate user input first.
+func InjectorByName(st *StressTester, name string) Injector {
+	for _, inj := range Injectors(st) {
+		if inj.Name() == name {
+			return inj
+		}
+	}
+	panic("pipa: unknown injector " + name)
 }
 
 // sortByScore sorts columns by descending score with deterministic ties.
