@@ -63,7 +63,7 @@ attackzoo:
 # studies and compares their stdout, cache-stats trailer included, byte for
 # byte with the committed results_fig1.txt, results_fig7_tpch1.txt and
 # results_fig8.txt. All three print the same bytes at any -workers. About
-# 5 s, 60 s and 7 s on 2 vCPUs.
+# 2 s, 36 s and 5 s on 2 vCPUs.
 goldens:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \

@@ -325,14 +325,18 @@ func BenchmarkEngineExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkNNForwardBackward times one ForwardTape + Backward pass, with an
-// Adam step every 32 passes, on the traffic the advisors send:
+// BenchmarkNNForwardBackward times one ForwardBatch + BackwardBatch pass
+// over a batch of one, with an Adam step every 32 passes, on the traffic the
+// advisors send:
 //   - dqn-state: DQN's Q-network over Env.Featurize plus Episode.ConfigVector
 //     (305 inputs, mostly zeros) with a one-hot TD gradient;
+//   - dqn-batch32: DQN's minibatch, 32 such states sharing one workload's
+//     features, each with its own configuration and one-hot gradient, and one
+//     Adam step per batch;
 //   - swirl-actor: SWIRL's tanh actor over the same state plus its budget
 //     entry, with a softmax policy gradient over the valid actions;
 //   - dense-input: the DQN shape fed a fully dense random input;
-//   - swirl-actor-step: one Backward and one Adam step per iteration on
+//   - swirl-actor-step: one BackwardBatch and one Adam step per iteration on
 //     SWIRL's actor, whose first layer has the live input columns a SWIRL
 //     training run leaves (the workload's features, every candidate's
 //     configuration entry and the budget entry). It reports that live
@@ -359,6 +363,32 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 		grad := make([]float64, L)
 		grad[7] = 1
 		benchForwardBackward(b, net, dqnState, grad)
+	})
+	b.Run("dqn-batch32", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		net := nn.NewMLP(rng, []int{len(dqnState), hidden, L}, nn.ReLU, nn.Identity)
+		var cands []int
+		for i, ok := range mask {
+			if ok {
+				cands = append(cands, i)
+			}
+		}
+		states, grads := make([][]float64, 32), make([][]float64, 32)
+		for k := range states {
+			states[k] = append(append([]float64(nil), feats...), make([]float64, L)...)
+			for j := 0; j < 1+k%3; j++ {
+				states[k][len(feats)+cands[rng.Intn(len(cands))]] = 1
+			}
+			grads[k] = make([]float64, L)
+			grads[k][cands[rng.Intn(len(cands))]] = rng.NormFloat64() / 32
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, tape := net.ForwardBatch(states)
+			net.BackwardBatch(tape, grads)
+			net.Step(1e-3)
+		}
 	})
 	b.Run("swirl-actor", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))
@@ -390,18 +420,19 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 		state := append(append([]float64(nil), feats...), make([]float64, L+1)...)
 		state[len(state)-1] = 1
 		net := nn.NewMLP(rng, []int{len(state), hidden, L}, nn.Tanh, nn.Identity)
-		grad := make([]float64, L)
-		for i := range grad {
-			grad[i] = rng.NormFloat64()
+		grads := [][]float64{make([]float64, L)}
+		for i := range grads[0] {
+			grads[0][i] = rng.NormFloat64()
 		}
+		xs := [][]float64{state}
 		// Mark the live columns: one pass per candidate's configuration
 		// entry, as a run's rollouts would, then drop those gradients.
 		live := 0
 		for i, ok := range mask {
 			if ok {
 				state[len(feats)+i] = 1
-				_, tape := net.ForwardTape(state)
-				net.Backward(tape, grad)
+				_, tape := net.ForwardBatch(xs)
+				net.BackwardBatch(tape, grads)
 				state[len(feats)+i] = 0
 				live++
 			}
@@ -412,13 +443,13 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 				live++
 			}
 		}
-		_, tape := net.ForwardTape(state)
-		// Each iteration's Backward gives Step the same gradient, so the
+		_, tape := net.ForwardBatch(xs)
+		// Each iteration's BackwardBatch gives Step the same gradient, so the
 		// moments settle instead of decaying into subnormals.
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			net.Backward(tape, grad)
+			net.BackwardBatch(tape, grads)
 			net.Step(1e-3)
 		}
 		b.ReportMetric(float64(live+1)/float64(len(state)), "live-frac")
@@ -437,11 +468,12 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 }
 
 func benchForwardBackward(b *testing.B, net *nn.MLP, x, grad []float64) {
+	xs, grads := [][]float64{x}, [][]float64{grad}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, tape := net.ForwardTape(x)
-		net.Backward(tape, grad)
+		_, tape := net.ForwardBatch(xs)
+		net.BackwardBatch(tape, grads)
 		if i%32 == 31 {
 			net.Step(1e-3)
 		}

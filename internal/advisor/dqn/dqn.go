@@ -87,6 +87,12 @@ type DQN struct {
 	bestSig    uint64
 
 	restore advisor.Rewinder // the last restored blob, until training drops it
+
+	// trainBatch's scratch: the sampled transitions, their states and
+	// their output gradients.
+	batch  []*transition
+	states [][]float64
+	grads  [][]float64
 }
 
 // New creates an untrained DQN advisor.
@@ -234,6 +240,10 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 		}
 	}
 	d.syncTarget()
+	// A trained advisor may be kept for inference only; release what only
+	// training reads.
+	d.net.ReleaseTape()
+	d.batch, d.states, d.grads = nil, nil, nil
 }
 
 // step takes the action and returns its training reward. DQN's is the
@@ -356,23 +366,35 @@ func (d *DQN) remember(tr transition) {
 	d.replay[d.rng.Intn(replayCapacity)] = tr
 }
 
-// trainBatch runs one TD(0) update on a sampled minibatch.
+// trainBatch runs one TD(0) update on a sampled minibatch. The online
+// network's weights hold still until Step, so the minibatch goes through it
+// as one batch.
 func (d *DQN) trainBatch() {
 	if len(d.replay) < batchSize {
 		return
 	}
-	grad := make([]float64, d.env.L())
-	for b := 0; b < batchSize; b++ {
+	if d.grads == nil {
+		d.batch = make([]*transition, batchSize)
+		d.states = make([][]float64, batchSize)
+		d.grads = make([][]float64, batchSize)
+		for b := range d.grads {
+			d.grads[b] = make([]float64, d.env.L())
+		}
+	}
+	for b := range d.batch {
 		tr := &d.replay[d.rng.Intn(len(d.replay))]
+		d.batch[b], d.states[b] = tr, tr.state
+	}
+	qs, tape := d.net.ForwardBatch(d.states)
+	for b, tr := range d.batch {
 		target := tr.reward
 		if !tr.done {
 			target += d.kind.gamma * d.maxNextQ(tr)
 		}
-		q, tape := d.net.ForwardTape(tr.state)
-		grad[tr.action] = (q[tr.action] - target) / batchSize
-		d.net.Backward(tape, grad)
-		grad[tr.action] = 0
+		clear(d.grads[b])
+		d.grads[b][tr.action] = (qs[b][tr.action] - target) / batchSize
 	}
+	d.net.BackwardBatch(tape, d.grads)
 	d.net.Step(d.cfg.LR)
 }
 

@@ -113,6 +113,10 @@ func (s *SWIRL) trainOn(w *workload.Workload) {
 		s.actor.SetParams(bestActor)
 		s.critic.SetParams(bestCritic)
 	}
+	// A trained advisor may be kept for inference only; release what only
+	// training reads.
+	s.actor.ReleaseTape()
+	s.critic.ReleaseTape()
 }
 
 // rollout samples one trajectory from the current policy.
@@ -167,37 +171,54 @@ func (s *SWIRL) rollout(w *workload.Workload, feats []float64) ([]step, float64)
 	return steps, ep.TotalReduction()
 }
 
-// ppoUpdate runs clipped-objective epochs over one trajectory's steps.
+// ppoUpdate runs clipped-objective epochs over one trajectory's steps. The
+// weights hold still within an epoch, so each epoch passes the steps through
+// the actor and the critic as one batch.
 func (s *SWIRL) ppoUpdate(steps []step) {
 	if len(steps) == 0 {
 		return
 	}
+	states := make([][]float64, len(steps))
+	grads := make([][]float64, len(steps))  // the actor's; nil where the step is clipped
+	vgrads := make([][]float64, len(steps)) // the critic's
+	gradBuf := make([]float64, len(steps)*s.env.L())
+	for k, st := range steps {
+		states[k] = st.state
+		vgrads[k] = make([]float64, 1)
+	}
 	for epoch := 0; epoch < ppoEpochs; epoch++ {
-		for _, st := range steps {
-			logits, tape := s.actor.ForwardTape(st.state)
-			probs := nn.Softmax(logits, st.mask)
+		logits, tape := s.actor.ForwardBatch(states)
+		for k, st := range steps {
+			probs := nn.Softmax(logits[k], st.mask)
 			logp := math.Log(probs[st.action] + entropyEps)
 			ratio := math.Exp(logp - st.oldLogp)
 			clipped := (st.adv > 0 && ratio > 1+ppoClip) || (st.adv < 0 && ratio < 1-ppoClip)
-			if !clipped {
-				// d(-ratio·A)/dlogits = -A·ratio·(onehot - probs)
-				grad := make([]float64, len(logits))
-				for i := range grad {
-					if st.mask != nil && !st.mask[i] {
-						continue
-					}
-					oh := 0.0
-					if i == st.action {
-						oh = 1
-					}
-					grad[i] = -st.adv * ratio * (oh - probs[i])
-				}
-				s.actor.Backward(tape, grad)
+			if clipped {
+				grads[k] = nil
+				continue
 			}
-			// Critic regression toward the return.
-			v, vtape := s.critic.ForwardTape(st.state)
-			s.critic.Backward(vtape, []float64{v[0] - st.ret})
+			// d(-ratio·A)/dlogits = -A·ratio·(onehot - probs)
+			grad := gradBuf[k*len(probs) : (k+1)*len(probs)]
+			for i := range grad {
+				grad[i] = 0
+				if st.mask != nil && !st.mask[i] {
+					continue
+				}
+				oh := 0.0
+				if i == st.action {
+					oh = 1
+				}
+				grad[i] = -st.adv * ratio * (oh - probs[i])
+			}
+			grads[k] = grad
 		}
+		s.actor.BackwardBatch(tape, grads)
+		// Critic regression toward the return.
+		vs, vtape := s.critic.ForwardBatch(states)
+		for k, st := range steps {
+			vgrads[k][0] = vs[k][0] - st.ret
+		}
+		s.critic.BackwardBatch(vtape, vgrads)
 		s.actor.Step(s.cfg.LR)
 		s.critic.Step(criticLR)
 	}

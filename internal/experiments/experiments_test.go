@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/advisor"
+	"repro/internal/cost"
 	"repro/internal/pipa"
 )
 
@@ -213,6 +216,66 @@ func TestADCellLeavesBaseUntouched(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("the stress tests moved the base: snapshot differs from an untouched twin (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestADCellFanOutMatchesSerial: adCell fans its stress tests out through
+// the setup's pool, so the results at width 2 must match the serial ones
+// field for field, AD bits and both index lists included. A fault tester's
+// cell runs serially at any width, and must match too, fault telemetry
+// included.
+func TestADCellFanOutMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment driver")
+	}
+	ctx := context.Background()
+	w := tinySetup.NormalWorkload(1)
+	cell := func(workers int, name string, faults bool) ([]pipa.Result, cost.FaultStats) {
+		t.Helper()
+		s := *tinySetup
+		s.Workers = workers
+		s.FaultSeed = 3
+		st := s.Tester()
+		if faults {
+			st = s.FaultTester(0.2, 1)
+		}
+		_, results, err := s.adCell(ctx, st, name, 1, w, s.PipaCfg.Na, pipa.PaperInjectors(st)...)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return results, st.WhatIf.FaultStats()
+	}
+	for _, tc := range []struct {
+		name   string
+		faults bool
+	}{{"DQN-b", false}, {"DBAbandit-b", false}, {"SWIRL", false}, {"DQN-b", true}} {
+		label := tc.name
+		if tc.faults {
+			label += "/faults"
+		}
+		t.Run(label, func(t *testing.T) {
+			serial, serialFaults := cell(1, tc.name, tc.faults)
+			fanned, fannedFaults := cell(2, tc.name, tc.faults)
+			if len(fanned) != len(serial) {
+				t.Fatalf("%d results at width 2, %d serially", len(fanned), len(serial))
+			}
+			for i := range serial {
+				a, b := serial[i], fanned[i]
+				if math.Float64bits(a.AD) != math.Float64bits(b.AD) {
+					t.Errorf("%s: AD %v at width 2, %v serially", a.Injector, b.AD, a.AD)
+				}
+				if !reflect.DeepEqual(a.BaselineIndexes, b.BaselineIndexes) || !reflect.DeepEqual(a.PoisonedIndexes, b.PoisonedIndexes) {
+					t.Errorf("%s: indexes %v/%v at width 2, %v/%v serially",
+						a.Injector, b.BaselineIndexes, b.PoisonedIndexes, a.BaselineIndexes, a.PoisonedIndexes)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: result %+v at width 2, %+v serially", a.Injector, b, a)
+				}
+			}
+			if serialFaults != fannedFaults {
+				t.Errorf("fault stats %+v at width 2, %+v serially", fannedFaults, serialFaults)
 			}
 		})
 	}

@@ -254,22 +254,30 @@ func (s *Setup) trainAdvisor(ctx context.Context, name string, run int, w *workl
 
 // adCell is the paper's AD cell (§6.2, Def. 2.5), the one place a driver
 // trains a victim and poisons it: it trains the base of (advisor, run) on w,
-// then stress-tests a fresh clone of that base against each injector in
-// order, injecting na queries, so every injector attacks the same trained
-// model and RD compares them run by run. Every registry advisor is an
-// advisor.Cloner (the registry tests assert it). The base itself is never
-// attacked: clones share none of its state and each reseeds its own RNG, so
-// a caller may still measure the base afterwards. A cancelled cell is
-// truncated, not complete, so it fails with ctx.Err() and is never journaled
-// or folded into a result.
+// then stress-tests a fresh clone of that base against each injector,
+// injecting na queries, so every injector attacks the same trained model and
+// RD compares them run by run. Every registry advisor is an advisor.Cloner
+// (the registry tests assert it). The base itself is never attacked: clones
+// share none of its state and each reseeds its own RNG, so the stress tests
+// are independent and fan out through the setup's pool, and a caller may
+// still measure the base afterwards. A tester with a fault injector runs
+// them in order instead: its breaker and virtual clock must evolve serially
+// (DESIGN.md §8). A cancelled cell is truncated, not complete, so it fails
+// with ctx.Err() and is never journaled or folded into a result.
 func (s *Setup) adCell(ctx context.Context, st *pipa.StressTester, advisorName string, run int, w *workload.Workload, na int, injs ...pipa.Injector) (advisor.Advisor, []pipa.Result, error) {
 	base, err := s.trainAdvisor(ctx, advisorName, run, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := make([]pipa.Result, len(injs))
-	for i, inj := range injs {
-		res[i] = st.StressTest(ctx, base.(advisor.Cloner).CloneAdvisor(), inj, w, na)
+	pool := s.pool("adcell")
+	if st.Faults != nil {
+		pool = par.New("adcell", 1)
+	}
+	res, err := par.MapCtx(ctx, pool, len(injs), func(ctx context.Context, i int) (pipa.Result, error) {
+		return st.StressTest(ctx, base.(advisor.Cloner).CloneAdvisor(), injs[i], w, na), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

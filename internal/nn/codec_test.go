@@ -20,12 +20,12 @@ func trainedNet(t *testing.T) *MLP {
 	n := NewMLP(rng, []int{4, 6, 3}, ReLU, Identity)
 	for i := 0; i < 5; i++ {
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		out, tape := n.ForwardTape(x)
-		grad := make([]float64, len(out))
+		outs, tape := n.ForwardBatch([][]float64{x})
+		grad := make([]float64, len(outs[0]))
 		for j := range grad {
-			grad[j] = out[j] - float64(j)
+			grad[j] = outs[0][j] - float64(j)
 		}
-		n.Backward(tape, grad)
+		n.BackwardBatch(tape, [][]float64{grad})
 		n.Step(0.01)
 	}
 	return n
@@ -35,8 +35,9 @@ func TestMLPCodecRoundTrip(t *testing.T) {
 	n := trainedNet(t)
 	// Leave some un-stepped gradient in place so that path round-trips too.
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	out, tape := n.ForwardTape(x)
-	n.Backward(tape, []float64{1, -1, 0.5})
+	outs, tape := n.ForwardBatch([][]float64{x})
+	out := append([]float64(nil), outs[0]...)
+	n.BackwardBatch(tape, [][]float64{{1, -1, 0.5}})
 
 	encode := func(n *MLP) []byte {
 		var e snap.Encoder

@@ -107,7 +107,7 @@ func denseStep(n *MLP, lr float64) {
 	}
 }
 
-// gradKind is the shape of dLoss/dOutput a kernel case feeds Backward.
+// gradKind is the shape of dLoss/dOutput a kernel case feeds BackwardBatch.
 type gradKind int
 
 const (
@@ -119,7 +119,8 @@ const (
 )
 
 // twist is what a kernel case does to the sparse network mid-training, on
-// top of the plain Forward/Backward/Step cycle. Every twist acts in step 1.
+// top of the plain ForwardBatch/BackwardBatch/Step cycle. Every twist acts
+// in step 1.
 type twist int
 
 const (
@@ -128,11 +129,25 @@ const (
 	twistCodec           // Encode/DecodeMLP after step 1's first pass, gradients pending
 	twistSetParams       // reinstall the initial parameters on both before step 1
 	twistDeadCols        // step 1's batch keeps half the live input positions at zero
+	twistRelease         // ReleaseTape before step 1
 	numTwists
 )
 
+// sampleKind is how one sample of a batch relates to the batch's shared
+// input prefix.
+type sampleKind int
+
+const (
+	sampleShared   sampleKind = iota // the shared prefix, then its own tail
+	sampleDiverge                    // the shared prefix with its first nonzero zeroed
+	sampleRevalue                    // the shared prefix with one nonzero given another value
+	sampleDup                        // the previous sample's input and gradient slices again
+	sampleNilGrad                    // the shared prefix, and a nil gradient
+	numSampleKinds                   // as a mix: a random kind per sample
+)
+
 // kernelCase is one differential run: steps Adam steps, each over
-// backwards Forward/Backward passes.
+// backwards ForwardBatch/BackwardBatch passes of batch samples.
 type kernelCase struct {
 	seed            int64
 	sizes           []int
@@ -141,11 +156,15 @@ type kernelCase struct {
 	grad            gradKind
 	backwards, step int
 	twist           twist
+
+	batch  int        // samples per pass; 0 means 1
+	prefix int        // leading input positions every sample of a pass shares
+	mix    sampleKind // the kind of every sample; the first is never a duplicate
 }
 
 func (c kernelCase) String() string {
-	return fmt.Sprintf("seed=%d sizes=%v act=%d/%d density=%.2f grad=%d backwards=%d steps=%d twist=%d",
-		c.seed, c.sizes, c.hidden, c.outAct, c.density, c.grad, c.backwards, c.step, c.twist)
+	return fmt.Sprintf("seed=%d sizes=%v act=%d/%d density=%.2f grad=%d backwards=%d steps=%d twist=%d batch=%d prefix=%d mix=%d",
+		c.seed, c.sizes, c.hidden, c.outAct, c.density, c.grad, c.backwards, c.step, c.twist, c.batch, c.prefix, c.mix)
 }
 
 // codecRoundTrip returns n after an Encode/DecodeMLP round trip.
@@ -191,13 +210,15 @@ func checkLive(t *testing.T, c kernelCase, what string, n *MLP) {
 }
 
 // checkKernel runs c through the sparse kernels and the dense reference on
-// two copies of one network and fails on the first bit that differs.
+// two copies of one network and fails on the first bit that differs. The
+// dense reference runs a pass's samples one at a time, in order.
 func checkKernel(t *testing.T, c kernelCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
 	sparse := NewMLP(rng, c.sizes, c.hidden, c.outAct)
 	dense := sparse.Clone()
 	in, out := sparse.InputSize(), sparse.OutputSize()
+	batch, prefix := max(c.batch, 1), min(c.prefix, in)
 
 	// Positions outside live stay zero for the whole run, so their weights
 	// never see a gradient and Step's skip path is exercised.
@@ -211,6 +232,37 @@ func checkKernel(t *testing.T, c kernelCase) {
 		}
 		return 0
 	}
+	input := func(dead bool) []float64 {
+		x := make([]float64, in)
+		for i := range x {
+			if live[i] && !(dead && i%2 == 0) && (c.density >= 1 || rng.Float64() < 0.8) {
+				x[i] = rng.NormFloat64()
+			} else {
+				x[i] = signedZero()
+			}
+		}
+		return x
+	}
+	gradient := func() []float64 {
+		g := make([]float64, out)
+		switch c.grad {
+		case gradOneHot:
+			g[rng.Intn(out)] = rng.NormFloat64()
+		case gradDense:
+			for i := range g {
+				g[i] = rng.NormFloat64()
+			}
+		case gradMasked:
+			for i := range g {
+				if rng.Intn(3) == 0 {
+					g[i] = signedZero()
+				} else {
+					g[i] = rng.NormFloat64()
+				}
+			}
+		}
+		return g
+	}
 	lr := 1e-3 + 0.05*rng.Float64()
 	initial := sparse.Params()
 
@@ -222,45 +274,63 @@ func checkKernel(t *testing.T, c kernelCase) {
 			case twistSetParams:
 				sparse.SetParams(initial)
 				dense.SetParams(initial)
+			case twistRelease:
+				sparse.ReleaseTape()
 			}
 		}
+		dead := s == 1 && c.twist == twistDeadCols
 		for b := 0; b < c.backwards; b++ {
 			if s == 1 && b == 1 && c.twist == twistCodec {
 				sparse = codecRoundTrip(t, sparse)
 			}
-			x := make([]float64, in)
-			for i := range x {
-				dead := s == 1 && c.twist == twistDeadCols && i%2 == 0
-				if live[i] && !dead && (c.density >= 1 || rng.Float64() < 0.8) {
-					x[i] = rng.NormFloat64()
-				} else {
-					x[i] = signedZero()
+			shared := input(dead)
+			xs, grads := make([][]float64, batch), make([][]float64, batch)
+			for k := range xs {
+				kind := c.mix
+				if kind == numSampleKinds {
+					kind = sampleKind(rng.Intn(int(numSampleKinds)))
 				}
-			}
-			gotOut, tape := sparse.ForwardTape(x)
-			wantOut, refTape := denseForward(dense, x)
-			mustSameBits(t, c, fmt.Sprintf("step %d pass %d: ForwardTape output", s, b), gotOut, wantOut)
-			mustSameBits(t, c, fmt.Sprintf("step %d pass %d: Forward output", s, b), sparse.Forward(x), wantOut)
-
-			g := make([]float64, out)
-			switch c.grad {
-			case gradOneHot:
-				g[rng.Intn(out)] = rng.NormFloat64()
-			case gradDense:
-				for i := range g {
-					g[i] = rng.NormFloat64()
+				if k == 0 && kind == sampleDup {
+					kind = sampleShared
 				}
-			case gradMasked:
-				for i := range g {
-					if rng.Intn(3) == 0 {
-						g[i] = signedZero()
-					} else {
-						g[i] = rng.NormFloat64()
+				if kind == sampleDup {
+					xs[k], grads[k] = xs[k-1], grads[k-1]
+					continue
+				}
+				x := input(dead)
+				copy(x[:prefix], shared)
+				var nz []int
+				for i, v := range x {
+					if v != 0 {
+						nz = append(nz, i)
 					}
 				}
+				switch {
+				case kind == sampleDiverge && len(nz) > 0:
+					x[nz[0]] = signedZero()
+				case kind == sampleRevalue && len(nz) > 0:
+					x[nz[rng.Intn(len(nz))]] = rng.NormFloat64()
+				}
+				xs[k] = x
+				if kind != sampleNilGrad {
+					grads[k] = gradient()
+				}
 			}
-			sparse.Backward(tape, g)
-			denseBackward(dense, refTape, g)
+
+			gotOuts, tape := sparse.ForwardBatch(xs)
+			if len(gotOuts) != batch {
+				t.Fatalf("%v: step %d pass %d: %d outputs for %d samples", c, s, b, len(gotOuts), batch)
+			}
+			for k, x := range xs {
+				where := fmt.Sprintf("step %d pass %d sample %d", s, b, k)
+				wantOut, refTape := denseForward(dense, x)
+				mustSameBits(t, c, where+": ForwardBatch output", gotOuts[k], wantOut)
+				mustSameBits(t, c, where+": Forward output", sparse.Forward(x), wantOut)
+				if grads[k] != nil {
+					denseBackward(dense, refTape, grads[k])
+				}
+			}
+			sparse.BackwardBatch(tape, grads)
 			checkLive(t, c, fmt.Sprintf("step %d pass %d", s, b), sparse)
 			for li := range sparse.layers {
 				where := fmt.Sprintf("step %d pass %d layer %d", s, b, li)
@@ -332,7 +402,7 @@ func TestKernelsMatchDense(t *testing.T) {
 // TestKernelsMatchDenseTwists pins the live-column state of Step to the
 // dense reference across each way a network's state is carried or changed
 // mid-training: Clone, a codec round trip with gradients pending, SetParams,
-// and a batch that leaves previously live columns at zero.
+// a batch that leaves previously live columns at zero, and a released tape.
 func TestKernelsMatchDenseTwists(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	acts := []Activation{Identity, ReLU, Tanh}
@@ -368,14 +438,67 @@ func TestKernelsMatchDenseAdvisorShape(t *testing.T) {
 		density: 0.1, grad: gradOneHot, backwards: 8, step: 4, twist: twistDeadCols})
 }
 
+// TestKernelsMatchDenseBatch pins ForwardBatch and BackwardBatch to the
+// dense reference run one sample at a time, over batches of 1, 2 and 32
+// whose samples share an input prefix, diverge at their first nonzero, hold
+// another value at a shared index, repeat the previous sample, or carry a
+// nil gradient, one kind per batch or a random kind per sample.
+func TestKernelsMatchDenseBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	acts := []Activation{Identity, ReLU, Tanh}
+	for _, batch := range []int{1, 2, 32} {
+		for mix := sampleKind(0); mix <= numSampleKinds; mix++ {
+			for _, density := range []float64{0.05, 0.3, 1} {
+				sizes := make([]int, 2+rng.Intn(3))
+				for i := range sizes {
+					sizes[i] = 1 + rng.Intn(23)
+				}
+				checkKernel(t, kernelCase{
+					seed: rng.Int63(), sizes: sizes, hidden: acts[rng.Intn(3)], outAct: acts[rng.Intn(3)],
+					density: density, grad: gradKind(rng.Intn(int(numGradKinds))),
+					backwards: 1 + rng.Intn(2), step: 3, twist: twist(rng.Intn(int(numTwists))),
+					batch: batch, prefix: rng.Intn(sizes[0] + 1), mix: mix,
+				})
+			}
+		}
+	}
+}
+
+// TestKernelsMatchDenseAdvisorBatch runs DQN's 32-sample minibatch, whose
+// states share the 244 workload-feature entries, and a SWIRL PPO epoch of
+// four steps through the actor, with the advisors' sample mixes.
+func TestKernelsMatchDenseAdvisorBatch(t *testing.T) {
+	checkKernel(t, kernelCase{seed: 5, sizes: []int{305, 64, 61}, hidden: ReLU, outAct: Identity,
+		density: 0.3, grad: gradOneHot, backwards: 2, step: 4, batch: 32, prefix: 244, mix: numSampleKinds})
+	checkKernel(t, kernelCase{seed: 6, sizes: []int{306, 64, 61}, hidden: Tanh, outAct: Identity,
+		density: 0.3, grad: gradMasked, backwards: 1, step: 4, batch: 4, prefix: 244, mix: numSampleKinds})
+	checkKernel(t, kernelCase{seed: 7, sizes: []int{306, 64, 1}, hidden: Tanh, outAct: Identity,
+		density: 0.3, grad: gradDense, backwards: 1, step: 4, batch: 4, prefix: 244, mix: sampleShared})
+}
+
+// TestKernelsMatchDenseLongRun steps a network past step 356, where Adam's
+// first bias correction 1 − 0.9^step rounds to exactly 1 and Step stops
+// dividing by it.
+func TestKernelsMatchDenseLongRun(t *testing.T) {
+	if bc1 := 1 - math.Pow(adamBeta1, 356); bc1 != 1 {
+		t.Fatalf("1 - 0.9^356 = %v, want exactly 1", bc1)
+	}
+	if bc1 := 1 - math.Pow(adamBeta1, 355); bc1 == 1 {
+		t.Fatal("1 - 0.9^355 is exactly 1; the cut starts earlier than documented")
+	}
+	checkKernel(t, kernelCase{seed: 8, sizes: []int{9, 7, 5}, hidden: Tanh, outAct: Identity,
+		density: 0.6, grad: gradMasked, backwards: 1, step: 400, batch: 3, prefix: 4, mix: numSampleKinds})
+}
+
 // FuzzMLPKernel drives the differential check from fuzzed shapes, seeds,
-// densities, modes and twists. dims gives one layer width per byte (2–4
-// layers); mode packs the two activations, the gradient shape and the
-// Backward calls per Step. The checked-in corpus in
-// testdata/fuzz/FuzzMLPKernel covers each activation, gradient shape and
-// twist once.
+// densities, modes, twists and batches. dims gives one layer width per byte
+// (2–4 layers); mode packs the two activations, the gradient shape and the
+// BackwardBatch calls per Step; batch gives 1–32 samples per pass and prefix
+// the share of input positions they share, with a random kind per sample.
+// The checked-in corpus in testdata/fuzz/FuzzMLPKernel covers each
+// activation, gradient shape and twist once.
 func FuzzMLPKernel(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, dims []byte, density, mode, tw byte) {
+	f.Fuzz(func(t *testing.T, seed int64, dims []byte, density, mode, tw, batch, prefix byte) {
 		if len(dims) < 2 {
 			return
 		}
@@ -396,6 +519,9 @@ func FuzzMLPKernel(f *testing.F) {
 			backwards: 1 + int(mode/36%3),
 			step:      3,
 			twist:     twist(tw % byte(numTwists)),
+			batch:     1 + int(batch)%32,
+			prefix:    int(prefix) * sizes[0] / 255,
+			mix:       numSampleKinds,
 		})
 	})
 }

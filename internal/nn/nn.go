@@ -7,9 +7,10 @@
 //
 // Training cuts only work whose result is already known, so every output,
 // gradient and parameter keeps the bits the dense loops give (DESIGN.md
-// §15): the kernels skip exact-zero terms, Step visits only the input
-// columns whose weights ever got a gradient, and a network reuses its tape
-// and gradient scratch from one training pass to the next.
+// §15): the kernels skip exact-zero terms, a batch sums the nonzero input
+// prefix its samples share once, Step visits only the input columns whose
+// weights ever got a gradient, and a network reuses its tape and gradient
+// scratch from one training pass to the next.
 package nn
 
 import (
@@ -74,8 +75,6 @@ type layer struct {
 	// are +0, so Step leaves those weights alone (DESIGN.md §15.3).
 	live []bool
 	cols []int32
-
-	dIn []float64 // Backward's input-gradient scratch
 }
 
 func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
@@ -119,9 +118,7 @@ type MLP struct {
 	layers []*layer
 	step   int
 
-	// Training scratch, reused from pass to pass and never copied.
-	tape   Tape       // ForwardTape's record
-	deltas []rowDelta // Backward's nonzero deltas
+	tape Tape // ForwardBatch's record and BackwardBatch's scratch, never copied
 }
 
 // NewMLP builds a network with the given layer sizes (len >= 2): hidden
@@ -154,63 +151,43 @@ func (n *MLP) InputSize() int { return n.layers[0].in }
 // OutputSize returns the output dimensionality.
 func (n *MLP) OutputSize() int { return n.layers[len(n.layers)-1].out }
 
-// Tape records one forward pass for backpropagation. Each network owns one
-// Tape that every ForwardTape call overwrites.
+// Tape records one forward pass over a batch of samples for BackwardBatch,
+// and holds BackwardBatch's scratch. Each network owns one Tape that every
+// ForwardBatch call overwrites.
 type Tape struct {
-	layers []tapeLayer
+	n      int         // samples recorded
+	layers []tapeLayer // one per network layer
+	outs   [][]float64 // each sample's network output, a view of the last layer's out
+	grads  [][]float64 // BackwardBatch's per-sample gradient at a hidden layer's output
+	active []int       // BackwardBatch's samples with a nonzero delta in the current layer
 }
 
-// tapeLayer is one layer's record on a Tape.
+// tapeLayer is one layer's record on a Tape. Per-sample rows of out, delta
+// and dIn are stored one after another, sample 0 first.
 type tapeLayer struct {
-	in  []float64 // the layer's input
-	nz  []int32   // ascending indices of in's nonzero entries
-	out []float64 // the layer's output, after activation
+	in     [][]float64 // each sample's input to the layer
+	nz     [][]int32   // ascending indices of each input's nonzero entries
+	out    []float64   // the layer's outputs, after activation
+	shared int         // how many leading nonzeros every sample shares (index and value)
+	pre    []float64   // partial sums over the shared nonzeros
+
+	delta []float64 // BackwardBatch's dLoss/dPre
+	ds    []float64 // BackwardBatch's nonzero deltas of one row, in sample order
+	dIn   []float64 // BackwardBatch's dLoss/dInput (hidden layers only)
 }
 
 // Forward runs the network and returns the output (no tape). It writes
 // nothing into the network, so concurrent Forward calls may share one MLP
 // as long as nothing trains it meanwhile.
 func (n *MLP) Forward(x []float64) []float64 {
-	return n.forward(x, nil)
-}
-
-// ForwardTape runs the network recording a tape for Backward. The tape and
-// the returned output are the network's own buffers: they stay valid until
-// the next ForwardTape on this network, which overwrites them. The tape
-// refers to x, so x must not change before Backward.
-func (n *MLP) ForwardTape(x []float64) ([]float64, *Tape) {
-	if n.tape.layers == nil {
-		n.tape.layers = make([]tapeLayer, len(n.layers))
-	}
-	return n.forward(x, &n.tape), &n.tape
-}
-
-// The kernels below skip every term whose value is an exact zero and keep
-// each remaining sum in its dense index order, so every output, gradient and
-// parameter is bit-identical to the dense loops' (DESIGN.md §15).
-
-func (n *MLP) forward(x []float64, tape *Tape) []float64 {
 	if len(x) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.InputSize()))
 	}
-	var nz []int32
-	if tape == nil {
-		nz = make([]int32, 0, len(x))
-	}
+	nz := make([]int32, 0, len(x))
 	cur := x
-	for li, l := range n.layers {
-		var out []float64
-		if tape != nil {
-			t := &tape.layers[li]
-			if t.out == nil {
-				t.out = make([]float64, l.out)
-			}
-			t.in, t.nz = cur, nonzeros(t.nz[:0], cur)
-			nz, out = t.nz, t.out
-		} else {
-			nz = nonzeros(nz[:0], cur)
-			out = make([]float64, l.out)
-		}
+	for _, l := range n.layers {
+		nz = nonzeros(nz[:0], cur)
+		out := append([]float64(nil), l.b...)
 		l.affine(out, cur, nz)
 		for o, p := range out {
 			out[o] = l.act.apply(p)
@@ -219,6 +196,72 @@ func (n *MLP) forward(x []float64, tape *Tape) []float64 {
 	}
 	return cur
 }
+
+// ForwardBatch runs the network over every sample of xs, recording a tape
+// for BackwardBatch, and returns each sample's output. The tape and the
+// outputs are the network's own buffers: they stay valid until the next
+// ForwardBatch on this network, which overwrites them. The tape refers to
+// the samples, so they must not change before BackwardBatch. Each output
+// has the bits Forward gives the same sample.
+func (n *MLP) ForwardBatch(xs [][]float64) ([][]float64, *Tape) {
+	t := &n.tape
+	if t.layers == nil {
+		t.layers = make([]tapeLayer, len(n.layers))
+	}
+	t.n = len(xs)
+	for li, l := range n.layers {
+		tl := &t.layers[li]
+		tl.in = tl.in[:0]
+		if li == 0 {
+			for _, x := range xs {
+				if len(x) != l.in {
+					panic(fmt.Sprintf("nn: input size %d, want %d", len(x), l.in))
+				}
+				tl.in = append(tl.in, x)
+			}
+		} else {
+			prev := t.layers[li-1].out
+			for s := range xs {
+				tl.in = append(tl.in, prev[s*l.in:(s+1)*l.in])
+			}
+		}
+		for len(tl.nz) < len(xs) {
+			tl.nz = append(tl.nz, nil)
+		}
+		for s, x := range tl.in {
+			tl.nz[s] = nonzeros(tl.nz[s][:0], x)
+		}
+		tl.out = resize(tl.out, len(xs)*l.out)
+		l.affineBatch(tl)
+		for o, p := range tl.out {
+			tl.out[o] = l.act.apply(p)
+		}
+	}
+	last, width := t.layers[len(t.layers)-1].out, n.OutputSize()
+	t.outs = t.outs[:0]
+	for s := range xs {
+		t.outs = append(t.outs, last[s*width:(s+1)*width])
+	}
+	return t.outs, t
+}
+
+// ReleaseTape drops the tape and BackwardBatch's scratch, so a network that
+// is done training holds only its parameters and optimizer state. The next
+// ForwardBatch allocates them again.
+func (n *MLP) ReleaseTape() { n.tape = Tape{} }
+
+// resize returns buf with length n, reallocating only when it is too short.
+// The contents are left as they were.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// The kernels below skip every term whose value is an exact zero and keep
+// each remaining sum in its dense index order, so every output, gradient and
+// parameter is bit-identical to the dense loops' (DESIGN.md §15).
 
 // nonzeros appends the indices of x's nonzero entries to dst, ascending.
 func nonzeros(dst []int32, x []float64) []int32 {
@@ -230,9 +273,11 @@ func nonzeros(dst []int32, x []float64) []int32 {
 	return dst
 }
 
-// affine sets out[o] = b[o] + Σ w[o][i]·x[i] over the nonzero inputs nz, in
-// ascending i. Four output rows share one pass over nz, each summing into
-// its own accumulator.
+// affine adds Σ w[o][i]·x[i] over the nonzero inputs nz, in ascending i, to
+// out[o], which holds the sum's starting value: the bias, or the partial sum
+// over a shared prefix. Four output rows share one pass over nz, each summing
+// into its own accumulator. The start comes in through out, not as one more
+// slice, so the loop keeps every operand in a register.
 func (l *layer) affine(out, x []float64, nz []int32) {
 	in := l.in
 	o := 0
@@ -241,7 +286,7 @@ func (l *layer) affine(out, x []float64, nz []int32) {
 		r1 := l.w[(o+1)*in : (o+2)*in]
 		r2 := l.w[(o+2)*in : (o+3)*in]
 		r3 := l.w[(o+3)*in : (o+4)*in]
-		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+		s0, s1, s2, s3 := out[o], out[o+1], out[o+2], out[o+3]
 		for _, i := range nz {
 			v := x[i]
 			s0 += r0[i] * v
@@ -253,7 +298,7 @@ func (l *layer) affine(out, x []float64, nz []int32) {
 	}
 	for ; o < l.out; o++ {
 		row := l.w[o*in : (o+1)*in]
-		s := l.b[o]
+		s := out[o]
 		for _, i := range nz {
 			s += row[i] * x[i]
 		}
@@ -261,58 +306,174 @@ func (l *layer) affine(out, x []float64, nz []int32) {
 	}
 }
 
-// Backward accumulates parameter gradients for one recorded pass given
-// dLoss/dOutput, and adds the input columns that carried a gradient to each
-// layer's live set. It does not compute dLoss/dInput. Its scratch (the
-// nonzero deltas and each hidden layer's input gradient) belongs to the
-// network and is reused by the next call.
-func (n *MLP) Backward(tape *Tape, gradOut []float64) {
-	if len(gradOut) != n.OutputSize() {
-		panic(fmt.Sprintf("nn: grad size %d, want %d", len(gradOut), n.OutputSize()))
+// affineBatch sets every recorded sample's pre-activation in t.out. The
+// samples' longest common prefix of (index, value) nonzeros adds the same
+// terms in the same order to every sample's sums, so those partial sums are
+// computed once and each sample adds only its own tail (DESIGN.md §15.4).
+func (l *layer) affineBatch(t *tapeLayer) {
+	t.shared = 0
+	if len(t.in) == 0 {
+		return
 	}
-	grad := gradOut
+	start := l.b
+	if t.shared = sharedPrefix(t.in, t.nz); t.shared > 0 {
+		t.pre = resize(t.pre, l.out)
+		copy(t.pre, l.b)
+		l.affine(t.pre, t.in[0], t.nz[0][:t.shared])
+		start = t.pre
+	}
+	for s := range t.in {
+		out := t.out[s*l.out : (s+1)*l.out]
+		copy(out, start)
+		l.affine(out, t.in[s], t.nz[s][t.shared:])
+	}
+}
+
+// sharedPrefix returns how many leading nonzeros every sample shares with
+// sample 0: the same index holding a value with the same bits.
+func sharedPrefix(xs [][]float64, nzs [][]int32) int {
+	x0, nz0 := xs[0], nzs[0]
+	p := len(nz0)
+	for s := 1; s < len(xs) && p > 0; s++ {
+		x, nz := xs[s], nzs[s]
+		if len(nz) < p {
+			p = len(nz)
+		}
+		for k, i := range nz[:p] {
+			if i != nz0[k] || math.Float64bits(x[i]) != math.Float64bits(x0[i]) {
+				p = k
+				break
+			}
+		}
+	}
+	return p
+}
+
+// accumulateShared adds d·x[i] for every d of ds, in order, to g[i] for
+// each index i of nz. Four weights share one pass over ds, each summing into
+// its own accumulator.
+func accumulateShared(g, x []float64, nz []int32, ds []float64) {
+	k := 0
+	for ; k+4 <= len(nz); k += 4 {
+		i0, i1, i2, i3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
+		v0, v1, v2, v3 := x[i0], x[i1], x[i2], x[i3]
+		a0, a1, a2, a3 := g[i0], g[i1], g[i2], g[i3]
+		for _, d := range ds {
+			a0 += d * v0
+			a1 += d * v1
+			a2 += d * v2
+			a3 += d * v3
+		}
+		g[i0], g[i1], g[i2], g[i3] = a0, a1, a2, a3
+	}
+	for ; k < len(nz); k++ {
+		i := nz[k]
+		v, a := x[i], g[i]
+		for _, d := range ds {
+			a += d * v
+		}
+		g[i] = a
+	}
+}
+
+// BackwardBatch accumulates parameter gradients for the recorded batch given
+// each sample's dLoss/dOutput, and adds the input columns that carried a
+// gradient to each layer's live set. A nil grads[s] leaves sample s out. It
+// does not compute dLoss/dInput. Each gradient element adds the samples'
+// terms in sample order, as a pass per sample would, but the loops run row
+// by row with the samples inside, so a weight or gradient row is loaded once
+// per layer, not once per sample. Its scratch lives on the tape.
+func (n *MLP) BackwardBatch(t *Tape, grads [][]float64) {
+	if len(grads) != t.n {
+		panic(fmt.Sprintf("nn: %d grads for a batch of %d", len(grads), t.n))
+	}
+	for _, g := range grads {
+		if g != nil && len(g) != n.OutputSize() {
+			panic(fmt.Sprintf("nn: grad size %d, want %d", len(g), n.OutputSize()))
+		}
+	}
+	gs := grads
 	for li := len(n.layers) - 1; li >= 0; li-- {
-		l, t := n.layers[li], tape.layers[li]
-		// delta = grad ⊙ act'(pre), kept only where it is nonzero.
-		deltas := n.deltas[:0]
-		for o, g := range grad {
-			if d := g * l.act.derivative(t.out[o]); d != 0 {
-				deltas = append(deltas, rowDelta{o, d})
+		l, tl := n.layers[li], &t.layers[li]
+		// delta = grad ⊙ act'(pre); a sample whose deltas are all zero adds
+		// nothing here or below.
+		tl.delta = resize(tl.delta, t.n*l.out)
+		active := t.active[:0]
+		for s, g := range gs {
+			if g == nil {
+				continue
+			}
+			d, y := tl.delta[s*l.out:(s+1)*l.out], tl.out[s*l.out:(s+1)*l.out]
+			nonzero := false
+			for o, gv := range g {
+				d[o] = gv * l.act.derivative(y[o])
+				nonzero = nonzero || d[o] != 0
+			}
+			if nonzero {
+				active = append(active, s)
+				l.markLive(tl.nz[s])
 			}
 		}
-		n.deltas = deltas
-		if len(deltas) > 0 {
-			l.markLive(t.nz)
-		}
-		for _, rd := range deltas {
-			gRow := l.gw[rd.row*l.in : (rd.row+1)*l.in]
-			for _, i := range t.nz {
-				gRow[i] += rd.d * t.in[i]
+		t.active = active
+		for o := 0; o < l.out; o++ {
+			gRow := l.gw[o*l.in : (o+1)*l.in]
+			ds := tl.ds[:0]
+			gb := l.gb[o]
+			for _, s := range active {
+				if d := tl.delta[s*l.out+o]; d != 0 {
+					ds = append(ds, d)
+					gb += d
+				}
 			}
-			l.gb[rd.row] += rd.d
+			l.gb[o] = gb
+			tl.ds = ds
+			if len(ds) == 0 {
+				continue
+			}
+			// The shared nonzeros have one index and value in every sample,
+			// so each of their weights sums its samples' terms in a register;
+			// the tails come after and touch other weights.
+			accumulateShared(gRow, tl.in[0], tl.nz[0][:tl.shared], ds)
+			for _, s := range active {
+				d := tl.delta[s*l.out+o]
+				if d == 0 {
+					continue
+				}
+				x := tl.in[s]
+				for _, i := range tl.nz[s][tl.shared:] {
+					gRow[i] += d * x[i]
+				}
+			}
 		}
 		if li == 0 {
 			return
 		}
-		if l.dIn == nil {
-			l.dIn = make([]float64, l.in)
+		tl.dIn = resize(tl.dIn, t.n*l.in)
+		for _, s := range active {
+			clear(tl.dIn[s*l.in : (s+1)*l.in])
 		}
-		next := l.dIn
-		clear(next)
-		for _, rd := range deltas {
-			row := l.w[rd.row*l.in : (rd.row+1)*l.in]
-			for i, w := range row {
-				next[i] += rd.d * w
+		for o := 0; o < l.out; o++ {
+			row := l.w[o*l.in : (o+1)*l.in]
+			for _, s := range active {
+				d := tl.delta[s*l.out+o]
+				if d == 0 {
+					continue
+				}
+				next := tl.dIn[s*l.in : (s+1)*l.in]
+				for i, w := range row {
+					next[i] += d * w
+				}
 			}
 		}
-		grad = next
+		t.grads = t.grads[:0]
+		for range t.n {
+			t.grads = append(t.grads, nil)
+		}
+		for _, s := range active {
+			t.grads[s] = tl.dIn[s*l.in : (s+1)*l.in]
+		}
+		gs = t.grads
 	}
-}
-
-// rowDelta is one output row's nonzero delta in Backward.
-type rowDelta struct {
-	row int
-	d   float64
 }
 
 // Adam hyperparameters.
@@ -345,7 +506,9 @@ func (n *MLP) Step(lr float64) {
 
 // adam updates parameters p from gradients g and moments m, v, and zeroes
 // g. A parameter whose gradient and moments are all zero is skipped: its
-// moments would stay zero and its update would be lr·0/ε = +0.
+// moments would stay zero and its update would be lr·0/ε = +0. The first
+// moment's bias correction bc1 = 1 − 0.9^step rounds to exactly 1 from step
+// 356 on, and x/1 is x, so the division is skipped there.
 func adam(p, g, m, v []float64, lr, bc1, bc2 float64) {
 	for i, gi := range g {
 		if gi == 0 && m[i] == 0 && v[i] == 0 {
@@ -353,7 +516,11 @@ func adam(p, g, m, v []float64, lr, bc1, bc2 float64) {
 		}
 		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
 		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		p[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + adamEps)
+		mh := m[i]
+		if bc1 != 1 {
+			mh /= bc1
+		}
+		p[i] -= lr * mh / (math.Sqrt(v[i]/bc2) + adamEps)
 		g[i] = 0
 	}
 }
@@ -368,7 +535,11 @@ func adamCols(p, g, m, v []float64, cols []int32, lr, bc1, bc2 float64) {
 		}
 		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
 		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		p[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + adamEps)
+		mh := m[i]
+		if bc1 != 1 {
+			mh /= bc1
+		}
+		p[i] -= lr * mh / (math.Sqrt(v[i]/bc2) + adamEps)
 		g[i] = 0
 	}
 }

@@ -36,12 +36,12 @@ func TestGradientCheck(t *testing.T) {
 		return l
 	}
 
-	out, tape := n.ForwardTape(x)
-	grad := make([]float64, len(out))
-	for i := range out {
-		grad[i] = out[i] - target[i]
+	outs, tape := n.ForwardBatch([][]float64{x})
+	grad := make([]float64, len(outs[0]))
+	for i, o := range outs[0] {
+		grad[i] = o - target[i]
 	}
-	n.Backward(tape, grad)
+	n.BackwardBatch(tape, [][]float64{grad})
 
 	// Compare analytic gradient on first-layer weights to finite difference.
 	const eps = 1e-6
@@ -67,10 +67,15 @@ func TestLearnsXOR(t *testing.T) {
 	n := NewMLP(rng, []int{2, 16, 1}, Tanh, Identity)
 	data := [][3]float64{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}}
 	for epoch := 0; epoch < 2000; epoch++ {
-		for _, d := range data {
-			out, tape := n.ForwardTape(d[:2])
-			n.Backward(tape, []float64{out[0] - d[2]})
+		xs, grads := make([][]float64, len(data)), make([][]float64, len(data))
+		for i := range data {
+			xs[i] = data[i][:2]
 		}
+		outs, tape := n.ForwardBatch(xs)
+		for i, d := range data {
+			grads[i] = []float64{outs[i][0] - d[2]}
+		}
+		n.BackwardBatch(tape, grads)
 		n.Step(0.01)
 	}
 	for _, d := range data {
@@ -105,8 +110,8 @@ func TestClone(t *testing.T) {
 	}
 	// Training the clone must not affect the original.
 	before := a.Forward(x)[0]
-	out, tape := c.ForwardTape(x)
-	c.Backward(tape, []float64{out[0] - 10})
+	outs, tape := c.ForwardBatch([][]float64{x})
+	c.BackwardBatch(tape, [][]float64{{outs[0][0] - 10}})
 	c.Step(0.1)
 	if a.Forward(x)[0] != before {
 		t.Error("training clone mutated original")
