@@ -335,6 +335,10 @@ func BenchmarkEngineExecute(b *testing.B) {
 //     Adam step per batch;
 //   - swirl-actor: SWIRL's tanh actor over the same state plus its budget
 //     entry, with a softmax policy gradient over the valid actions;
+//   - swirl-batch5: one PPO step of SWIRL's tanh actor (306×64), five
+//     states sharing one workload's features, each with its own chosen
+//     columns and budget entry and a dense gradient over the candidates,
+//     and one Adam step per batch;
 //   - dense-input: the DQN shape fed a fully dense random input;
 //   - swirl-actor-step: one BackwardBatch and one Adam step per iteration on
 //     SWIRL's actor, whose first layer has the live input columns a SWIRL
@@ -364,15 +368,15 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 		grad[7] = 1
 		benchForwardBackward(b, net, dqnState, grad)
 	})
+	var cands []int
+	for i, ok := range mask {
+		if ok {
+			cands = append(cands, i)
+		}
+	}
 	b.Run("dqn-batch32", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))
 		net := nn.NewMLP(rng, []int{len(dqnState), hidden, L}, nn.ReLU, nn.Identity)
-		var cands []int
-		for i, ok := range mask {
-			if ok {
-				cands = append(cands, i)
-			}
-		}
 		states, grads := make([][]float64, 32), make([][]float64, 32)
 		for k := range states {
 			states[k] = append(append([]float64(nil), feats...), make([]float64, L)...)
@@ -453,6 +457,29 @@ func BenchmarkNNForwardBackward(b *testing.B) {
 			net.Step(1e-3)
 		}
 		b.ReportMetric(float64(live+1)/float64(len(state)), "live-frac")
+	})
+	b.Run("swirl-batch5", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		net := nn.NewMLP(rng, []int{len(feats) + L + 1, hidden, L}, nn.Tanh, nn.Identity)
+		states, grads := make([][]float64, 5), make([][]float64, 5)
+		for k := range states {
+			states[k] = append(append([]float64(nil), feats...), make([]float64, L+1)...)
+			for j := 0; j < k; j++ {
+				states[k][len(feats)+cands[rng.Intn(len(cands))]] = 1
+			}
+			states[k][len(states[k])-1] = 1 - 0.25*float64(k)
+			grads[k] = make([]float64, L)
+			for _, i := range cands {
+				grads[k][i] = rng.NormFloat64()
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, tape := net.ForwardBatch(states)
+			net.BackwardBatch(tape, grads)
+			net.Step(1e-3)
+		}
 	})
 	b.Run("dense-input", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))

@@ -199,8 +199,13 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			eps = d.cfg.Epsilon
 		}
 		ep := d.env.NewEpisode(w, d.cfg.Budget)
+		// A transition's next state is the following step's state: nothing
+		// changes the episode in between, so both share one slice.
+		var state []float64
 		for !ep.Done() {
-			state := d.state(feats, ep)
+			if state == nil {
+				state = d.state(feats, ep)
+			}
 			action := d.chooseAction(state, ep, mask, eps)
 			if action < 0 {
 				break
@@ -209,6 +214,7 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			next := d.state(feats, ep)
 			d.remember(transition{state: state, action: action, reward: r, next: next, done: ep.Done()})
 			d.trainBatch()
+			state = next
 		}
 		advisor.RecordTrainReward(d.Name(), ep.TotalReduction())
 		if d.cfg.Trace != nil {

@@ -41,12 +41,22 @@ func (t *internTable) bytes(b []byte) string {
 	if ok {
 		return s
 	}
+	return t.str(string(b))
+}
+
+// str returns the canonical string equal to s, interning s on first sight.
+func (t *internTable) str(s string) string {
+	t.mu.RLock()
+	c, ok := t.m[s]
+	t.mu.RUnlock()
+	if ok {
+		return c
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok = t.m[string(b)]; ok {
-		return s
+	if c, ok = t.m[s]; ok {
+		return c
 	}
-	s = string(b)
 	if len(t.m) < internCap {
 		t.m[s] = s
 	}

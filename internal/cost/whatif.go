@@ -78,6 +78,7 @@ type WhatIf struct {
 	MaxEntries int
 
 	shards  [numShards]shard
+	fps     *internTable // the query fingerprints entries hold, one copy each
 	calls   atomic.Int64
 	hits    atomic.Int64
 	evicts  atomic.Int64
@@ -169,7 +170,7 @@ func (s CacheStats) HitRate() float64 {
 
 // NewWhatIf wraps a model with an unbounded cache.
 func NewWhatIf(m *Model) *WhatIf {
-	w := &WhatIf{Model: m}
+	w := &WhatIf{Model: m, fps: newInternTable()}
 	for i := range w.shards {
 		w.shards[i].cache = make(map[cacheKey]float64)
 		w.shards[i].flight = make(map[cacheKey]*flightCall)
@@ -249,10 +250,13 @@ func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (fl
 		}
 	}
 
+	// Every parse renders its query's fingerprint anew; an entry keeps one
+	// copy per text, not the copy of the call that inserted it.
+	fp := w.fps.str(key.fp)
 	sh.mu.Lock()
 	delete(sh.flight, key)
 	if _, ok := sh.cache[key]; !ok {
-		sh.cache[key] = fl.val
+		sh.cache[cacheKey{fp, key.set}] = fl.val
 		w.entries.Add(1)
 		whatifSize.Add(1)
 	}

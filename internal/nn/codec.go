@@ -9,20 +9,32 @@ import (
 // Encode appends the network's full state — shapes, parameters, accumulated
 // gradients and Adam moments — to e. Together with DecodeMLP it gives a
 // byte-exact round trip: a restored network continues training on the exact
-// optimizer trajectory the original would have taken.
+// optimizer trajectory the original would have taken. Weight-shaped arrays,
+// input-major in memory, are written row-major.
 func (n *MLP) Encode(e *snap.Encoder) {
+	size := 16
+	for _, l := range n.layers {
+		size += 24 + 8*(4*len(l.w)+4*len(l.b)+8)
+	}
+	e.Grow(size)
 	e.Int64(int64(n.step))
 	e.Uint64(uint64(len(n.layers)))
+	var buf []float64
+	rows := func(l *layer, a []float64) []float64 {
+		buf = resize(buf, len(a))
+		l.rowMajor(buf, a)
+		return buf
+	}
 	for _, l := range n.layers {
 		e.Int64(int64(l.in))
 		e.Int64(int64(l.out))
 		e.Int64(int64(l.act))
-		e.Floats(l.w)
+		e.Floats(rows(l, l.w))
 		e.Floats(l.b)
-		e.Floats(l.gw)
+		e.Floats(rows(l, l.gw))
 		e.Floats(l.gb)
-		e.Floats(l.mw)
-		e.Floats(l.vw)
+		e.Floats(rows(l, l.mw))
+		e.Floats(rows(l, l.vw))
 		e.Floats(l.mb)
 		e.Floats(l.vb)
 	}
@@ -69,6 +81,13 @@ func DecodeMLP(d *snap.Decoder) (*MLP, error) {
 		if li > 0 && n.layers[li-1].out != l.in {
 			return nil, fmt.Errorf("%w: mlp layer %d input %d != previous output %d", snap.ErrCorrupt, li, l.in, n.layers[li-1].out)
 		}
+		// Each array decoded row-major becomes the next one's input-major
+		// storage, so the layer allocates one array more, not four.
+		spare := make([]float64, len(l.w))
+		for _, a := range []*[]float64{&l.w, &l.gw, &l.mw, &l.vw} {
+			l.setRowMajor(spare, *a)
+			*a, spare = spare, *a
+		}
 		l.deriveLive()
 		n.layers = append(n.layers, l)
 	}
@@ -83,7 +102,7 @@ func (l *layer) deriveLive() {
 	l.live, l.cols = make([]bool, l.in), nil
 	for j := range l.w {
 		if l.gw[j] != 0 || l.mw[j] != 0 || l.vw[j] != 0 {
-			l.live[j%l.in] = true
+			l.live[l.col(j)] = true
 		}
 	}
 	for i, ok := range l.live {

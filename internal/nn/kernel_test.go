@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/snap"
@@ -39,9 +40,8 @@ func denseForward(n *MLP, x []float64) ([]float64, *denseTape) {
 		pre := make([]float64, l.out)
 		for o := 0; o < l.out; o++ {
 			sum := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
 			for i, v := range cur {
-				sum += row[i] * v
+				sum += l.w[l.at(o, i)] * v
 			}
 			pre[o] = sum
 		}
@@ -67,19 +67,17 @@ func denseBackward(n *MLP, tape *denseTape, gradOut []float64) []float64 {
 			delta[o] = grad[o] * denseDerivative(l.act, tape.pre[li][o], tape.post[li][o])
 		}
 		for o := 0; o < l.out; o++ {
-			gRow := l.gw[o*l.in : (o+1)*l.in]
 			d := delta[o]
 			for i, v := range in {
-				gRow[i] += d * v
+				l.gw[l.at(o, i)] += d * v
 			}
 			l.gb[o] += d
 		}
 		next := make([]float64, l.in)
 		for o := 0; o < l.out; o++ {
-			row := l.w[o*l.in : (o+1)*l.in]
 			d := delta[o]
 			for i := range next {
-				next[i] += d * row[i]
+				next[i] += d * l.w[l.at(o, i)]
 			}
 		}
 		grad = next
@@ -201,9 +199,9 @@ func checkLive(t *testing.T, c kernelCase, what string, n *MLP) {
 			t.Fatalf("%v: %s layer %d: %d live marks, %d cols, %d inputs", c, what, li, marked, len(l.cols), l.in)
 		}
 		for j := range l.w {
-			if !l.live[j%l.in] && (l.gw[j] != 0 || l.mw[j] != 0 || l.vw[j] != 0) {
+			if !l.live[l.col(j)] && (l.gw[j] != 0 || l.mw[j] != 0 || l.vw[j] != 0) {
 				t.Fatalf("%v: %s layer %d: weight %d of dead column %d has g=%v m=%v v=%v",
-					c, what, li, j, j%l.in, l.gw[j], l.mw[j], l.vw[j])
+					c, what, li, j, l.col(j), l.gw[j], l.mw[j], l.vw[j])
 			}
 		}
 	}
@@ -495,8 +493,9 @@ func TestKernelsMatchDenseLongRun(t *testing.T) {
 // (2–4 layers); mode packs the two activations, the gradient shape and the
 // BackwardBatch calls per Step; batch gives 1–32 samples per pass and prefix
 // the share of input positions they share, with a random kind per sample.
-// The checked-in corpus in testdata/fuzz/FuzzMLPKernel covers each
-// activation, gradient shape and twist once.
+// Each input runs with the kernels the CPU dispatches to, then again with
+// the generic ones. The checked-in corpus in testdata/fuzz/FuzzMLPKernel
+// covers each activation, gradient shape and twist once.
 func FuzzMLPKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, dims []byte, density, mode, tw, batch, prefix byte) {
 		if len(dims) < 2 {
@@ -509,7 +508,7 @@ func FuzzMLPKernel(f *testing.F) {
 		for i, d := range dims {
 			sizes[i] = 1 + int(d)%48
 		}
-		checkKernel(t, kernelCase{
+		c := kernelCase{
 			seed:      seed,
 			sizes:     sizes,
 			hidden:    Activation(mode % 3),
@@ -522,6 +521,200 @@ func FuzzMLPKernel(f *testing.F) {
 			batch:     1 + int(batch)%32,
 			prefix:    int(prefix) * sizes[0] / 255,
 			mix:       numSampleKinds,
-		})
+		}
+		checkKernel(t, c)
+		defer setDispatch(false)()
+		checkKernel(t, c)
 	})
 }
+
+// setDispatch sends every kernel to its AVX2 form where the CPU has one
+// (avx2 true) or to its generic form (avx2 false), and returns the undo.
+// Tests that call it must not run in parallel.
+func setDispatch(avx2 bool) (undo func()) {
+	was := useAVX2
+	useAVX2 = avx2 && hasAVX2()
+	return func() { useAVX2 = was }
+}
+
+// TestKernelsMatchDenseGeneric runs the dense-reference suite once more with
+// every kernel forced to its generic form, the only form on architectures
+// without the AVX2 kernels.
+func TestKernelsMatchDenseGeneric(t *testing.T) {
+	defer setDispatch(false)()
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"Dense", TestKernelsMatchDense},
+		{"Twists", TestKernelsMatchDenseTwists},
+		{"AdvisorShape", TestKernelsMatchDenseAdvisorShape},
+		{"Batch", TestKernelsMatchDenseBatch},
+		{"AdvisorBatch", TestKernelsMatchDenseAdvisorBatch},
+		{"LongRun", TestKernelsMatchDenseLongRun},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// kernelValue draws a value that is often an edge case for the kernels:
+// ±0, a subnormal, or a normal value of either sign.
+func kernelValue(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Float64frombits(1+uint64(rng.Int63n(1<<52))) * float64(1-2*rng.Intn(2))
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+func kernelValues(rng *rand.Rand, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = kernelValue(rng)
+	}
+	return xs
+}
+
+// sameBits reports whether got and want hold the same bits.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// kernelWidths are the lengths the AVX2 kernels are compared at: every
+// length up to 9, the widths of DQN's and SWIRL's layers, and widths past a
+// 32-wide block that are not multiples of four.
+var kernelWidths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33, 61, 64, 67}
+
+// TestKernelsAVX2MatchGeneric compares each AVX2 kernel bit for bit with its
+// generic twin on edge-case values: ±0, subnormals, parameters whose
+// gradient and moments are all zero next to live ones, and Adam with bc1
+// both below 1 and exactly 1.
+func TestKernelsAVX2MatchGeneric(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	defer setDispatch(true)()
+	rng := rand.New(rand.NewSource(25))
+
+	t.Run("adam", func(t *testing.T) {
+		for _, n := range kernelWidths {
+			for _, dead := range []float64{0, 0.5, 1} {
+				p, g, m, v := kernelValues(rng, n), kernelValues(rng, n), kernelValues(rng, n), make([]float64, n)
+				for i := range v {
+					v[i] = math.Abs(kernelValue(rng))
+					if rng.Float64() < dead {
+						g[i], m[i], v[i] = 0, 0, 0
+					}
+				}
+				gp, gg, gm, gv := slicesClone(p), slicesClone(g), slicesClone(m), slicesClone(v)
+				for step := 1; step <= 400; step += 1 + 50*rng.Intn(2) {
+					k := newAdamArgs(1e-3+0.05*rng.Float64(), 1-math.Pow(adamBeta1, float64(step)), 1-math.Pow(adamBeta2, float64(step)))
+					adam(p, g, m, v, &k)
+					adamGeneric(gp, gg, gm, gv, &k)
+					for _, a := range []struct {
+						name      string
+						got, want []float64
+					}{{"p", p, gp}, {"g", g, gg}, {"m", m, gm}, {"v", v, gv}} {
+						if !sameBits(a.got, a.want) {
+							t.Fatalf("n=%d dead=%.1f step %d bc1=%v: %s = %v, generic %v", n, dead, step, k.bc1, a.name, a.got, a.want)
+						}
+					}
+					// The next step's gradient, with the dead lanes kept dead.
+					for i := range g {
+						if gm[i] != 0 || gv[i] != 0 || rng.Intn(2) == 0 {
+							g[i] = kernelValue(rng)
+							gg[i] = g[i]
+						}
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("affine", func(t *testing.T) {
+		for _, out := range kernelWidths[1:] {
+			for _, in := range []int{1, 2, 5, 9, 40} {
+				for _, nnz := range []int{0, 1, 2, 3, 5, 9, in} {
+					nnz = min(nnz, in)
+					w, x, start := kernelValues(rng, in*out), kernelValues(rng, in), kernelValues(rng, out)
+					nz := make([]int32, 0, nnz)
+					for _, i := range rng.Perm(in)[:nnz] {
+						nz = append(nz, int32(i))
+					}
+					slices.Sort(nz)
+					got, want := slicesClone(start), slicesClone(start)
+					affine(got, w, x, nz)
+					affineGeneric(want, w, x, nz)
+					if !sameBits(got, want) {
+						t.Fatalf("out=%d in=%d nz=%v: %v, generic %v", out, in, nz, got, want)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("grad", func(t *testing.T) {
+		for _, width := range kernelWidths[1:] {
+			for _, batch := range []int{1, 2, 5, 9} {
+				in := 12
+				g, x, delta := kernelValues(rng, in*width), kernelValues(rng, in), kernelValues(rng, batch*width)
+				for _, nnz := range []int{0, 1, 3, 5, 9, in} {
+					nz := make([]int32, 0, nnz)
+					for _, i := range rng.Perm(in)[:nnz] {
+						nz = append(nz, int32(i))
+					}
+					slices.Sort(nz)
+					var active []int
+					for s := 0; s < batch; s++ {
+						if rng.Intn(4) != 0 {
+							active = append(active, s)
+						}
+					}
+					got, want := slicesClone(g), slicesClone(g)
+					grad(got, x, nz, delta, active, width)
+					gradGeneric(want, x, nz, delta, active, width)
+					if !sameBits(got, want) {
+						t.Fatalf("width=%d nz=%v active=%v: %v, generic %v", width, nz, active, got, want)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("nonzeros", func(t *testing.T) {
+		for _, n := range append(slicesClone(kernelWidths), 305) {
+			x := kernelValues(rng, n)
+			for i := range x {
+				switch rng.Intn(12) {
+				case 0:
+					x[i] = math.NaN()
+				case 1:
+					x[i] = math.Inf(1 - 2*rng.Intn(2))
+				}
+			}
+			for _, prior := range []int{0, 3} {
+				dst := make([]int32, prior, prior+rng.Intn(n+1))
+				got := nonzeros(slicesClone(dst), x)
+				want := nonzerosGeneric(dst, x, 0)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d x=%v: %v, generic %v", n, x, got, want)
+				}
+			}
+		}
+	})
+}
+
+func slicesClone[S ~[]E, E any](s S) S { return append(S(nil), s...) }

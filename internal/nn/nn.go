@@ -10,13 +10,16 @@
 // §15): the kernels skip exact-zero terms, a batch sums the nonzero input
 // prefix its samples share once, Step visits only the input columns whose
 // weights ever got a gradient, and a network reuses its tape and gradient
-// scratch from one training pass to the next.
+// scratch from one training pass to the next. Weights are stored
+// input-major, and the hot loops run through AVX2 kernels on amd64 that
+// give the bits of their pure-Go twins (§15.5).
 package nn
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Activation selects a layer's nonlinearity.
@@ -62,7 +65,7 @@ func (a Activation) derivative(y float64) float64 {
 // layer is one dense layer with Adam state.
 type layer struct {
 	in, out int
-	w       []float64 // out×in, row-major
+	w       []float64 // in×out, input-major: w[i*out+o] (DESIGN.md §15.5)
 	b       []float64
 	act     Activation
 
@@ -91,12 +94,47 @@ func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 
 		live: make([]bool, in),
 	}
-	// He/Xavier-style scaled initialization.
+	// He/Xavier-style scaled initialization, drawn in row-major order.
 	scale := math.Sqrt(2.0 / float64(in))
-	for i := range l.w {
-		l.w[i] = rng.NormFloat64() * scale
+	for o := 0; o < out; o++ {
+		for i := 0; i < in; i++ {
+			l.w[l.at(o, i)] = rng.NormFloat64() * scale
+		}
 	}
 	return l
+}
+
+// at returns the position of the weight from input i to output o in w, gw,
+// mw and vw.
+func (l *layer) at(o, i int) int { return i*l.out + o }
+
+// col returns the input column of position j of w.
+func (l *layer) col(j int) int { return j / l.out }
+
+// rowMajor writes a, one of the layer's weight-shaped arrays, to dst in
+// row-major order (a[o][i]), the order Params and Encode use.
+func (l *layer) rowMajor(dst, a []float64) { transpose(dst, a, l.in, l.out) }
+
+// setRowMajor copies the row-major array src into a, one of the layer's
+// weight-shaped arrays.
+func (l *layer) setRowMajor(a, src []float64) { transpose(a, src, l.out, l.in) }
+
+// transpose sets dst[c*rows+r] = src[r*cols+c] for the rows×cols matrix src.
+// It walks 8×8 tiles, so its reads and its writes each stay within eight
+// cache lines at a time.
+func transpose(dst, src []float64, rows, cols int) {
+	const tile = 8
+	for r0 := 0; r0 < rows; r0 += tile {
+		r1 := min(r0+tile, rows)
+		for c0 := 0; c0 < cols; c0 += tile {
+			c1 := min(c0+tile, cols)
+			for r := r0; r < r1; r++ {
+				for c := c0; c < c1; c++ {
+					dst[c*rows+r] = src[r*cols+c]
+				}
+			}
+		}
+	}
 }
 
 // markLive adds the columns nz to the live set.
@@ -172,7 +210,7 @@ type tapeLayer struct {
 	pre    []float64   // partial sums over the shared nonzeros
 
 	delta []float64 // BackwardBatch's dLoss/dPre
-	ds    []float64 // BackwardBatch's nonzero deltas of one row, in sample order
+	nzd   [][]int32 // BackwardBatch's ascending indices of each sample's nonzero deltas
 	dIn   []float64 // BackwardBatch's dLoss/dInput (hidden layers only)
 }
 
@@ -188,7 +226,7 @@ func (n *MLP) Forward(x []float64) []float64 {
 	for _, l := range n.layers {
 		nz = nonzeros(nz[:0], cur)
 		out := append([]float64(nil), l.b...)
-		l.affine(out, cur, nz)
+		affine(out, l.w, cur, nz)
 		for o, p := range out {
 			out[o] = l.act.apply(p)
 		}
@@ -259,52 +297,10 @@ func resize(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// The kernels below skip every term whose value is an exact zero and keep
-// each remaining sum in its dense index order, so every output, gradient and
-// parameter is bit-identical to the dense loops' (DESIGN.md §15).
-
-// nonzeros appends the indices of x's nonzero entries to dst, ascending.
-func nonzeros(dst []int32, x []float64) []int32 {
-	for i, v := range x {
-		if v != 0 {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-// affine adds Σ w[o][i]·x[i] over the nonzero inputs nz, in ascending i, to
-// out[o], which holds the sum's starting value: the bias, or the partial sum
-// over a shared prefix. Four output rows share one pass over nz, each summing
-// into its own accumulator. The start comes in through out, not as one more
-// slice, so the loop keeps every operand in a register.
-func (l *layer) affine(out, x []float64, nz []int32) {
-	in := l.in
-	o := 0
-	for ; o+4 <= l.out; o += 4 {
-		r0 := l.w[o*in : (o+1)*in]
-		r1 := l.w[(o+1)*in : (o+2)*in]
-		r2 := l.w[(o+2)*in : (o+3)*in]
-		r3 := l.w[(o+3)*in : (o+4)*in]
-		s0, s1, s2, s3 := out[o], out[o+1], out[o+2], out[o+3]
-		for _, i := range nz {
-			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-		}
-		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
-	}
-	for ; o < l.out; o++ {
-		row := l.w[o*in : (o+1)*in]
-		s := out[o]
-		for _, i := range nz {
-			s += row[i] * x[i]
-		}
-		out[o] = s
-	}
-}
+// The loops below and the kernels in kernels.go skip every term whose value
+// is an exact zero and keep each remaining sum in its dense index order, so
+// every output, gradient and parameter is bit-identical to the dense loops'
+// (DESIGN.md §15).
 
 // affineBatch sets every recorded sample's pre-activation in t.out. The
 // samples' longest common prefix of (index, value) nonzeros adds the same
@@ -319,13 +315,13 @@ func (l *layer) affineBatch(t *tapeLayer) {
 	if t.shared = sharedPrefix(t.in, t.nz); t.shared > 0 {
 		t.pre = resize(t.pre, l.out)
 		copy(t.pre, l.b)
-		l.affine(t.pre, t.in[0], t.nz[0][:t.shared])
+		affine(t.pre, l.w, t.in[0], t.nz[0][:t.shared])
 		start = t.pre
 	}
 	for s := range t.in {
 		out := t.out[s*l.out : (s+1)*l.out]
 		copy(out, start)
-		l.affine(out, t.in[s], t.nz[s][t.shared:])
+		affine(out, l.w, t.in[s], t.nz[s][t.shared:])
 	}
 }
 
@@ -349,40 +345,12 @@ func sharedPrefix(xs [][]float64, nzs [][]int32) int {
 	return p
 }
 
-// accumulateShared adds d·x[i] for every d of ds, in order, to g[i] for
-// each index i of nz. Four weights share one pass over ds, each summing into
-// its own accumulator.
-func accumulateShared(g, x []float64, nz []int32, ds []float64) {
-	k := 0
-	for ; k+4 <= len(nz); k += 4 {
-		i0, i1, i2, i3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
-		v0, v1, v2, v3 := x[i0], x[i1], x[i2], x[i3]
-		a0, a1, a2, a3 := g[i0], g[i1], g[i2], g[i3]
-		for _, d := range ds {
-			a0 += d * v0
-			a1 += d * v1
-			a2 += d * v2
-			a3 += d * v3
-		}
-		g[i0], g[i1], g[i2], g[i3] = a0, a1, a2, a3
-	}
-	for ; k < len(nz); k++ {
-		i := nz[k]
-		v, a := x[i], g[i]
-		for _, d := range ds {
-			a += d * v
-		}
-		g[i] = a
-	}
-}
-
 // BackwardBatch accumulates parameter gradients for the recorded batch given
 // each sample's dLoss/dOutput, and adds the input columns that carried a
 // gradient to each layer's live set. A nil grads[s] leaves sample s out. It
-// does not compute dLoss/dInput. Each gradient element adds the samples'
-// terms in sample order, as a pass per sample would, but the loops run row
-// by row with the samples inside, so a weight or gradient row is loaded once
-// per layer, not once per sample. Its scratch lives on the tape.
+// does not compute the first layer's dLoss/dInput. Each gradient element
+// adds the samples' terms in sample order, as a pass per sample would. Its
+// scratch lives on the tape.
 func (n *MLP) BackwardBatch(t *Tape, grads [][]float64) {
 	if len(grads) != t.n {
 		panic(fmt.Sprintf("nn: %d grads for a batch of %d", len(grads), t.n))
@@ -398,72 +366,36 @@ func (n *MLP) BackwardBatch(t *Tape, grads [][]float64) {
 		// delta = grad ⊙ act'(pre); a sample whose deltas are all zero adds
 		// nothing here or below.
 		tl.delta = resize(tl.delta, t.n*l.out)
+		for len(tl.nzd) < t.n {
+			tl.nzd = append(tl.nzd, nil)
+		}
 		active := t.active[:0]
 		for s, g := range gs {
 			if g == nil {
 				continue
 			}
-			d, y := tl.delta[s*l.out:(s+1)*l.out], tl.out[s*l.out:(s+1)*l.out]
-			nonzero := false
+			d, y, nzd := tl.delta[s*l.out:(s+1)*l.out], tl.out[s*l.out:(s+1)*l.out], tl.nzd[s][:0]
 			for o, gv := range g {
-				d[o] = gv * l.act.derivative(y[o])
-				nonzero = nonzero || d[o] != 0
+				if d[o] = gv * l.act.derivative(y[o]); d[o] != 0 {
+					nzd = append(nzd, int32(o))
+				}
 			}
-			if nonzero {
+			if tl.nzd[s] = nzd; len(nzd) > 0 {
 				active = append(active, s)
-				l.markLive(tl.nz[s])
+				l.markLive(tl.nz[s][tl.shared:])
 			}
+		}
+		if len(active) > 0 {
+			l.markLive(tl.nz[0][:tl.shared]) // every sample's shared nonzeros
 		}
 		t.active = active
-		for o := 0; o < l.out; o++ {
-			gRow := l.gw[o*l.in : (o+1)*l.in]
-			ds := tl.ds[:0]
-			gb := l.gb[o]
-			for _, s := range active {
-				if d := tl.delta[s*l.out+o]; d != 0 {
-					ds = append(ds, d)
-					gb += d
-				}
-			}
-			l.gb[o] = gb
-			tl.ds = ds
-			if len(ds) == 0 {
-				continue
-			}
-			// The shared nonzeros have one index and value in every sample,
-			// so each of their weights sums its samples' terms in a register;
-			// the tails come after and touch other weights.
-			accumulateShared(gRow, tl.in[0], tl.nz[0][:tl.shared], ds)
-			for _, s := range active {
-				d := tl.delta[s*l.out+o]
-				if d == 0 {
-					continue
-				}
-				x := tl.in[s]
-				for _, i := range tl.nz[s][tl.shared:] {
-					gRow[i] += d * x[i]
-				}
-			}
-		}
+		l.accumulate(tl, active)
 		if li == 0 {
 			return
 		}
 		tl.dIn = resize(tl.dIn, t.n*l.in)
 		for _, s := range active {
-			clear(tl.dIn[s*l.in : (s+1)*l.in])
-		}
-		for o := 0; o < l.out; o++ {
-			row := l.w[o*l.in : (o+1)*l.in]
-			for _, s := range active {
-				d := tl.delta[s*l.out+o]
-				if d == 0 {
-					continue
-				}
-				next := tl.dIn[s*l.in : (s+1)*l.in]
-				for i, w := range row {
-					next[i] += d * w
-				}
-			}
+			l.inputGrad(tl.dIn[s*l.in:(s+1)*l.in], tl.delta[s*l.out:(s+1)*l.out], tl.nzd[s])
 		}
 		t.grads = t.grads[:0]
 		for range t.n {
@@ -476,6 +408,72 @@ func (n *MLP) BackwardBatch(t *Tape, grads [][]float64) {
 	}
 }
 
+// inputGrad sets dIn[i] = Σ d[o]·w[i][o] over the nonzero deltas nz, in
+// ascending o, from +0: the order a pass over the outputs adds them in.
+// Four inputs share one pass over nz, each summing into its own accumulator.
+func (l *layer) inputGrad(dIn, d []float64, nz []int32) {
+	n := l.out
+	i := 0
+	for ; i+4 <= l.in; i += 4 {
+		r0 := l.w[i*n : (i+1)*n]
+		r1 := l.w[(i+1)*n : (i+2)*n]
+		r2 := l.w[(i+2)*n : (i+3)*n]
+		r3 := l.w[(i+3)*n : (i+4)*n]
+		var s0, s1, s2, s3 float64
+		for _, o := range nz {
+			v := d[o]
+			s0 += v * r0[o]
+			s1 += v * r1[o]
+			s2 += v * r2[o]
+			s3 += v * r3[o]
+		}
+		dIn[i], dIn[i+1], dIn[i+2], dIn[i+3] = s0, s1, s2, s3
+	}
+	for ; i < l.in; i++ {
+		row := l.w[i*n : (i+1)*n]
+		var s float64
+		for _, o := range nz {
+			s += d[o] * row[o]
+		}
+		dIn[i] = s
+	}
+}
+
+// accumulate adds the active samples' terms to the layer's gb and gw.
+// Every weight of a shared nonzero sums its samples' terms in a register;
+// each sample's tail then adds its own terms, sample by sample. A zero delta
+// adds d·v = ±0, which leaves an accumulator that started at +0 unchanged
+// (DESIGN.md §15.1), so a tail whose deltas are mostly zero (DQN's one-hot
+// TD error) adds the terms of its nonzero deltas only.
+func (l *layer) accumulate(tl *tapeLayer, active []int) {
+	for o := range l.gb {
+		gb := l.gb[o]
+		for _, s := range active {
+			if d := tl.delta[s*l.out+o]; d != 0 {
+				gb += d
+			}
+		}
+		l.gb[o] = gb
+	}
+	if len(active) == 0 {
+		return
+	}
+	grad(l.gw, tl.in[0], tl.nz[0][:tl.shared], tl.delta, active, l.out)
+	for k, s := range active {
+		d, x, tail, nzd := tl.delta[s*l.out:(s+1)*l.out], tl.in[s], tl.nz[s][tl.shared:], tl.nzd[s]
+		if 8*len(nzd) > l.out {
+			grad(l.gw, x, tail, tl.delta, active[k:k+1], l.out)
+			continue
+		}
+		for _, i := range tail {
+			v, row := x[i], l.gw[int(i)*l.out:int(i+1)*l.out]
+			for _, o := range nzd {
+				row[o] += d[o] * v
+			}
+		}
+	}
+}
+
 // Adam hyperparameters.
 const (
 	adamBeta1 = 0.9
@@ -485,62 +483,21 @@ const (
 
 // Step applies one Adam update with the accumulated gradients (optionally
 // averaged over batch size by the caller pre-scaling) and zeroes them. It
-// visits the weights of live input columns only, row by row, until every
-// column is live; biases are always visited.
+// visits the weight runs of live input columns only, until every column is
+// live; biases are always visited.
 func (n *MLP) Step(lr float64) {
 	n.step++
-	bc1 := 1 - math.Pow(adamBeta1, float64(n.step))
-	bc2 := 1 - math.Pow(adamBeta2, float64(n.step))
+	k := newAdamArgs(lr, 1-math.Pow(adamBeta1, float64(n.step)), 1-math.Pow(adamBeta2, float64(n.step)))
 	for _, l := range n.layers {
 		if len(l.cols) == l.in {
-			adam(l.w, l.gw, l.mw, l.vw, lr, bc1, bc2)
-		} else if len(l.cols) > 0 {
-			for o := 0; o < l.out; o++ {
-				r := o * l.in
-				adamCols(l.w[r:r+l.in], l.gw[r:r+l.in], l.mw[r:r+l.in], l.vw[r:r+l.in], l.cols, lr, bc1, bc2)
+			adam(l.w, l.gw, l.mw, l.vw, &k)
+		} else {
+			for _, i := range l.cols {
+				r := int(i) * l.out
+				adam(l.w[r:r+l.out], l.gw[r:r+l.out], l.mw[r:r+l.out], l.vw[r:r+l.out], &k)
 			}
 		}
-		adam(l.b, l.gb, l.mb, l.vb, lr, bc1, bc2)
-	}
-}
-
-// adam updates parameters p from gradients g and moments m, v, and zeroes
-// g. A parameter whose gradient and moments are all zero is skipped: its
-// moments would stay zero and its update would be lr·0/ε = +0. The first
-// moment's bias correction bc1 = 1 − 0.9^step rounds to exactly 1 from step
-// 356 on, and x/1 is x, so the division is skipped there.
-func adam(p, g, m, v []float64, lr, bc1, bc2 float64) {
-	for i, gi := range g {
-		if gi == 0 && m[i] == 0 && v[i] == 0 {
-			continue
-		}
-		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
-		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		mh := m[i]
-		if bc1 != 1 {
-			mh /= bc1
-		}
-		p[i] -= lr * mh / (math.Sqrt(v[i]/bc2) + adamEps)
-		g[i] = 0
-	}
-}
-
-// adamCols is adam over the indices cols only, written out rather than
-// calling a per-element helper, which the compiler does not inline.
-func adamCols(p, g, m, v []float64, cols []int32, lr, bc1, bc2 float64) {
-	for _, i := range cols {
-		gi := g[i]
-		if gi == 0 && m[i] == 0 && v[i] == 0 {
-			continue
-		}
-		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
-		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		mh := m[i]
-		if bc1 != 1 {
-			mh /= bc1
-		}
-		p[i] -= lr * mh / (math.Sqrt(v[i]/bc2) + adamEps)
-		g[i] = 0
+		adam(l.b, l.gb, l.mb, l.vb, &k)
 	}
 }
 
@@ -564,7 +521,9 @@ func (n *MLP) Params() []float64 { return n.AppendParams(nil) }
 // a caller can keep parameters in a reused buffer.
 func (n *MLP) AppendParams(dst []float64) []float64 {
 	for _, l := range n.layers {
-		dst = append(dst, l.w...)
+		at := len(dst)
+		dst = slices.Grow(dst, len(l.w))[:at+len(l.w)]
+		l.rowMajor(dst[at:], l.w)
 		dst = append(dst, l.b...)
 	}
 	return dst
@@ -575,7 +534,8 @@ func (n *MLP) AppendParams(dst []float64) []float64 {
 func (n *MLP) SetParams(p []float64) {
 	idx := 0
 	for _, l := range n.layers {
-		idx += copy(l.w, p[idx:idx+len(l.w)])
+		l.setRowMajor(l.w, p[idx:idx+len(l.w)])
+		idx += len(l.w)
 		idx += copy(l.b, p[idx:idx+len(l.b)])
 	}
 	if idx != len(p) {

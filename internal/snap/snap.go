@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Version is the current envelope version written by Seal.
@@ -76,11 +77,17 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Floats appends a length-prefixed []float64.
+// Grow makes room for n more bytes, so a producer that knows its size
+// fills one buffer instead of doubling into it.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Floats appends a length-prefixed []float64, growing the buffer once.
 func (e *Encoder) Floats(v []float64) {
 	e.Uint64(uint64(len(v)))
-	for _, x := range v {
-		e.Float64(x)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(e.buf[off+8*i:], math.Float64bits(x))
 	}
 }
 
@@ -239,12 +246,13 @@ func (d *Decoder) Floats() []float64 {
 	if n == 0 {
 		return nil
 	}
+	b := d.take(8*n, "floats")
+	if b == nil {
+		return nil
+	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.Float64()
-	}
-	if d.err != nil {
-		return nil
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
