@@ -59,17 +59,21 @@ attackzoo:
 	$(GO) run -race ./cmd/pipa-bench -exp attackzoo -advisors Heuristic \
 		-injectors FSM,PIPA,BAD+SUB,R-OOD,ADAPT -workers 4
 
-# goldens reruns the Fig. 1 motivation, the Fig. 7 grid and the Fig. 8 case
-# studies and compares their stdout, cache-stats trailer included, byte for
-# byte with the committed results_fig1.txt, results_fig7_tpch1.txt and
-# results_fig8.txt. All three print the same bytes at any -workers. About
-# 2 s, 36 s and 5 s on 2 vCPUs.
+# goldens reruns the Fig. 1 motivation, the Fig. 7 grid, the Fig. 8 case
+# studies and the attack zoo over DBAbandit-b and Heuristic, and compares
+# their stdout byte for byte with the committed results_fig1.txt,
+# results_fig7_tpch1.txt, results_fig8.txt and results_attackzoo.txt (the
+# first three include the cache-stats trailer; attackzoo prints its cache
+# telemetry on stderr). All four print the same bytes at any -workers. About
+# 2 s, 36 s, 5 s and 24 s on 2 vCPUs.
 goldens:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \
 	"$$tmp/pipa-bench" -exp fig1 > "$$tmp/fig1.txt"; cmp "$$tmp/fig1.txt" results_fig1.txt; \
 	"$$tmp/pipa-bench" -exp fig8 > "$$tmp/fig8.txt"; cmp "$$tmp/fig8.txt" results_fig8.txt; \
-	"$$tmp/pipa-bench" -exp fig7 > "$$tmp/fig7.txt"; cmp "$$tmp/fig7.txt" results_fig7_tpch1.txt
+	"$$tmp/pipa-bench" -exp fig7 > "$$tmp/fig7.txt"; cmp "$$tmp/fig7.txt" results_fig7_tpch1.txt; \
+	"$$tmp/pipa-bench" -exp attackzoo -advisors DBAbandit-b,Heuristic > "$$tmp/attackzoo.txt"; \
+	cmp "$$tmp/attackzoo.txt" results_attackzoo.txt
 
 # serve runs the serving-daemon suite under -race: admission control, the
 # degradation ladder, hot model swap, live rollback under load, the 2×

@@ -100,9 +100,6 @@ func (w *WhatIf) NewWorkloadCoster(queries []*sql.Query, freqs []float64) *Workl
 	return c
 }
 
-// Len returns the workload size.
-func (c *WorkloadCoster) Len() int { return len(c.queries) }
-
 // Stats reports this session's delta counters.
 func (c *WorkloadCoster) Stats() CosterStats {
 	c.mu.Lock()
@@ -119,21 +116,15 @@ func (c *WorkloadCoster) Cost(indexes []Index) float64 {
 }
 
 // CostPer is Cost and additionally copies the per-query costs into per
-// (which must have length Len()) when per is non-nil. The advisor episode
-// loop uses it to maintain the per-query reward state of DRLindex (the
-// inverse-cost kind of internal/advisor/dqn) without a second sweep.
+// (which must hold one slot per session query) when per is non-nil. The
+// advisor episode loop uses it to maintain the per-query reward state of
+// DRLindex (the inverse-cost kind of internal/advisor/dqn) without a second
+// sweep.
 func (c *WorkloadCoster) CostPer(indexes []Index, per []float64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.costLocked(indexes, per)
 	return t
-}
-
-// Base returns the no-index workload cost, computed once per session.
-func (c *WorkloadCoster) Base() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.baseLocked()
 }
 
 func (c *WorkloadCoster) baseLocked() float64 {
@@ -181,8 +172,10 @@ func (c *WorkloadCoster) CostCtx(ctx context.Context, indexes []Index) float64 {
 	return t
 }
 
-// ReductionCtx is Reduction with trace correlation, mirroring
-// WhatIf.ReductionCtx's span shape for the serving tier.
+// ReductionCtx is Reduction with trace correlation, the serving tier's
+// traced sweep: a traced call records a "cost:reduction" span, annotated
+// with the resulting reduction, whose "cost:workload-delta" child is the
+// CostCtx sweep. Untraced callers take the exact Reduction path.
 func (c *WorkloadCoster) ReductionCtx(ctx context.Context, indexes []Index) float64 {
 	parent := obs.SpanFrom(ctx)
 	if parent == nil {

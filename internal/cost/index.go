@@ -68,19 +68,6 @@ func (ix Index) Key() string {
 // related to the first single-column index".
 func (ix Index) LeadColumn() string { return ix.Columns[0] }
 
-// Equal reports whether two indexes have identical column lists.
-func (ix Index) Equal(o Index) bool {
-	if len(ix.Columns) != len(o.Columns) {
-		return false
-	}
-	for i := range ix.Columns {
-		if ix.Columns[i] != o.Columns[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IndexSet is a collection of indexes with set semantics keyed on Key().
 type IndexSet struct {
 	m     map[string]Index

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,9 +133,6 @@ func (w *WhatIf) EnableFaults(f *fault.Injector) {
 	w.breaker = fault.NewBreaker(3, 200*time.Millisecond, f.Clock())
 }
 
-// Faults returns the installed injector (nil on a clean oracle).
-func (w *WhatIf) Faults() *fault.Injector { return w.faults }
-
 // FaultStats reports this oracle's resilience telemetry.
 func (w *WhatIf) FaultStats() FaultStats {
 	st := FaultStats{
@@ -183,28 +179,9 @@ func (w *WhatIf) QueryCost(q *sql.Query, indexes []Index) float64 {
 	return w.queryCost(q, indexes, internedIndexesKey(indexes))
 }
 
-// costKind classifies how one queryCost call was answered, for trace
-// annotations. Fallback decisions are a property of the compute path, not
-// the cache, and are tracked separately via the fallbacks counter.
-type costKind uint8
-
-const (
-	costMiss   costKind = iota // computed here
-	costHit                    // served from the cache
-	costShared                 // waited on another goroutine's computation
-)
-
 // queryCost is QueryCost with the index part of the key precomputed, so
 // workload-level callers canonicalize the index set once, not per query.
 func (w *WhatIf) queryCost(q *sql.Query, indexes []Index, idxKey string) float64 {
-	c, _ := w.queryCostKind(q, indexes, idxKey)
-	return c
-}
-
-// queryCostKind is queryCost plus a classification of how the call was
-// answered, so traced workload costing can attribute cache behaviour without
-// touching the untraced hot path.
-func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (float64, costKind) {
 	// The key's parts are the query's cached fingerprint and the interned
 	// set key, so neither a hit nor a miss builds a key.
 	key := cacheKey{q.Fingerprint(), idxKey}
@@ -217,7 +194,7 @@ func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (fl
 		sh.mu.Unlock()
 		w.hits.Add(1)
 		whatifHits.Inc()
-		return c, costHit
+		return c
 	}
 	if fl, ok := sh.flight[key]; ok {
 		// Someone is already computing this plan: wait and share.
@@ -226,7 +203,7 @@ func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (fl
 		w.hits.Add(1)
 		whatifHits.Inc()
 		whatifShared.Inc()
-		return fl.val, costShared
+		return fl.val
 	}
 	fl := &flightCall{done: make(chan struct{})}
 	sh.flight[key] = fl
@@ -262,7 +239,7 @@ func (w *WhatIf) queryCostKind(q *sql.Query, indexes []Index, idxKey string) (fl
 	}
 	sh.mu.Unlock()
 	close(fl.done)
-	return fl.val, costMiss
+	return fl.val
 }
 
 // computeFaulty is the cache-miss compute path under chaos: stall on an
@@ -348,48 +325,6 @@ func (w *WhatIf) WorkloadCost(queries []*sql.Query, freqs []float64, indexes []I
 	return total
 }
 
-// WorkloadCostCtx is WorkloadCost with trace correlation: when ctx carries a
-// request-scoped span (obs.SpanFrom) it wraps the sweep in a "cost:workload"
-// child annotated with the cache-behaviour breakdown (hits, misses,
-// singleflight waits, fallback decisions). Untraced callers pay one nil
-// check and take the exact WorkloadCost path.
-func (w *WhatIf) WorkloadCostCtx(ctx context.Context, queries []*sql.Query, freqs []float64, indexes []Index) float64 {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return w.WorkloadCost(queries, freqs, indexes)
-	}
-	sp := parent.StartChild("cost:workload")
-	defer sp.End()
-
-	idxKey := internedIndexesKey(indexes)
-	var hits, misses, shared int64
-	fb0 := w.fallbacks.Load()
-	total := 0.0
-	for i, q := range queries {
-		f := 1.0
-		if freqs != nil {
-			f = freqs[i]
-		}
-		c, kind := w.queryCostKind(q, indexes, idxKey)
-		switch kind {
-		case costHit:
-			hits++
-		case costShared:
-			shared++
-		default:
-			misses++
-		}
-		total += f * c
-	}
-	sp.Annotate("queries", strconv.Itoa(len(queries)))
-	sp.Annotate("indexes", strconv.Itoa(len(indexes)))
-	sp.Annotate("cache_hits", strconv.FormatInt(hits, 10))
-	sp.Annotate("cache_misses", strconv.FormatInt(misses, 10))
-	sp.Annotate("flight_waits", strconv.FormatInt(shared, 10))
-	sp.Annotate("fallbacks", strconv.FormatInt(w.fallbacks.Load()-fb0, 10))
-	return total
-}
-
 // Reduction returns the relative cost reduction 1 - c(W,d,I)/c(W,d,∅), the
 // reward quantity most learned advisors and PIPA's probing stage use (Eq. 7).
 func (w *WhatIf) Reduction(queries []*sql.Query, freqs []float64, indexes []Index) float64 {
@@ -398,27 +333,6 @@ func (w *WhatIf) Reduction(queries []*sql.Query, freqs []float64, indexes []Inde
 		return 0
 	}
 	return 1 - w.WorkloadCost(queries, freqs, indexes)/base
-}
-
-// ReductionCtx is Reduction with trace correlation: a traced call records a
-// "cost:reduction" span whose children break down the base and hypothetical
-// workload sweeps, annotated with the resulting reduction. Untraced callers
-// take the exact Reduction path.
-func (w *WhatIf) ReductionCtx(ctx context.Context, queries []*sql.Query, freqs []float64, indexes []Index) float64 {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return w.Reduction(queries, freqs, indexes)
-	}
-	sp := parent.StartChild("cost:reduction")
-	defer sp.End()
-	spCtx := obs.ContextWithSpan(ctx, sp)
-	base := w.WorkloadCostCtx(spCtx, queries, freqs, nil)
-	red := 0.0
-	if base > 0 {
-		red = 1 - w.WorkloadCostCtx(spCtx, queries, freqs, indexes)/base
-	}
-	sp.Annotate("reduction", strconv.FormatFloat(red, 'g', -1, 64))
-	return red
 }
 
 // Stats reports total calls and cache hits.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +123,19 @@ func TestDefenseSweepJournalResume(t *testing.T) {
 		if i == 0 && j.Len() == 0 {
 			t.Fatal("pass 0 journaled no cells")
 		}
+	}
+}
+
+// TestArmStrategies checks that every arm the sweeps run maps to a screener
+// strategy and that a cell refuses an arm outside the table.
+func TestArmStrategies(t *testing.T) {
+	for _, arm := range append(DefenseArms(), AttackZooArms()...) {
+		if _, ok := armStrategies[arm]; !ok {
+			t.Errorf("arm %q has no screener strategy", arm)
+		}
+	}
+	_, err := tinySetup.runCell(context.Background(), tinySetup.Tester(), []string{"bogus"}, "Heuristic", "FSM", 0, 0, 1, "test/bogus")
+	if err == nil || !strings.Contains(err.Error(), `unknown defense arm "bogus"`) {
+		t.Fatalf("runCell with an unknown arm: err = %v", err)
 	}
 }

@@ -184,7 +184,11 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 	fork := func(arm string, trimSeed int64, modelDir, source string) (*armDefense, error) {
 		victim := base.(advisor.Cloner).CloneAdvisor()
 		d := &armDefense{victim: victim}
-		inner, err := armScreener(arm, victim, s, w, trimSeed)
+		strategy, ok := armStrategies[arm]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown defense arm %q", arm)
+		}
+		inner, err := trim.BuildScreener(strategy, victim, s.WhatIf, w, trimSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -316,27 +320,14 @@ func (d *armDefense) update(batch *workload.Workload) pipa.Verdict {
 	return v
 }
 
-// armScreener builds the defense arm's screener over the victim it protects;
-// unguarded and guard-only arms screen nothing.
-func armScreener(arm string, victim advisor.Advisor, s *Setup, w *workload.Workload, seed int64) (defense.Screener, error) {
-	switch arm {
-	case "sanitizer":
-		return defense.NewSanitizer(s.WhatIf, w), nil
-	case "trim", "stacked":
-		snap, ok := victim.(advisor.Snapshottable)
-		if !ok {
-			return nil, fmt.Errorf("experiments: advisor %s is not snapshottable; the %s arm needs byte-exact restore", victim.Name(), arm)
-		}
-		t := trim.New(snap, s.WhatIf, trim.Config{Seed: seed, Reference: w})
-		if arm == "trim" {
-			return t, nil
-		}
-		return defense.NewChain(defense.NewSanitizer(s.WhatIf, w), t), nil
-	case "unguarded", "guard":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown defense arm %q", arm)
-	}
+// armStrategies maps each defense arm to the trim.BuildScreener strategy its
+// screener is built from; unguarded and guard-only arms screen nothing.
+var armStrategies = map[string]string{
+	"unguarded": "none",
+	"sanitizer": "sanitizer",
+	"trim":      "trim",
+	"guard":     "none",
+	"stacked":   "sanitizer+trim",
 }
 
 // countingScreener wraps a screener and accumulates its update-batch drops.

@@ -44,7 +44,7 @@ type State int
 const (
 	// Closed admits updates; consecutive rollbacks are counted.
 	Closed State = iota
-	// Open freezes updates for Cooldown attempts; the model serves as-is.
+	// Open freezes updates for cooldownAttempts attempts; the model serves as-is.
 	Open
 	// HalfOpen is the probe attempt after the cooldown: a commit re-admits
 	// updates (Closed), a rollback re-freezes them (Open).
@@ -114,6 +114,19 @@ type Stats struct {
 	LastCanaryAD   float64 // canary regression measured by the last gated update
 }
 
+// The breaker and quarantine sizes every Trainer uses.
+const (
+	// tripThreshold is the number of consecutive rollbacks that trip the
+	// guard Open.
+	tripThreshold = 3
+	// cooldownAttempts is how many update attempts stay frozen after a trip
+	// before the half-open probe. Counted in attempts, not time, so replays
+	// are deterministic.
+	cooldownAttempts = 2
+	// quarantineCap bounds the quarantine buffer.
+	quarantineCap = 256
+)
+
 // Config parameterizes a Trainer.
 type Config struct {
 	// Budget is the canary regression budget: an update is rolled back when
@@ -121,18 +134,6 @@ type Config struct {
 	// advisor is (re)trained on trusted data, so the budget bounds cumulative
 	// drift, not per-step drift. Default 0.02.
 	Budget float64
-
-	// Threshold is the number of consecutive rollbacks that trip the guard
-	// Open. Default 3.
-	Threshold int
-
-	// Cooldown is how many update attempts stay frozen after a trip before
-	// the half-open probe. Counted in attempts, not time, so replays are
-	// deterministic. Default 2.
-	Cooldown int
-
-	// QuarantineCap bounds the quarantine buffer. Default 256.
-	QuarantineCap int
 
 	// Canary is the held-out trusted workload the gate evaluates on, and
 	// Eval the clean oracle costing it (PR 3's oracle split: the attacker's
@@ -195,21 +196,12 @@ func NewTrainer(inner advisor.Advisor, cfg Config) (*Trainer, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 0.02
 	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2
-	}
-	if cfg.QuarantineCap <= 0 {
-		cfg.QuarantineCap = 256
-	}
 	return &Trainer{
 		inner:      inner,
 		snapr:      snapr,
 		cfg:        cfg,
 		canaryBase: math.NaN(),
-		quarantine: NewQuarantine(cfg.QuarantineCap),
+		quarantine: NewQuarantine(quarantineCap),
 	}, nil
 }
 
@@ -427,7 +419,7 @@ func (t *Trainer) rollback(sp *obs.TSpan, pre []byte, batch *workload.Workload, 
 		t.trip(rb) // failed probe: straight back to Open
 	default:
 		t.consec++
-		if t.consec >= t.cfg.Threshold {
+		if t.consec >= tripThreshold {
 			t.trip(rb)
 		}
 	}
@@ -436,11 +428,11 @@ func (t *Trainer) rollback(sp *obs.TSpan, pre []byte, batch *workload.Workload, 
 // trip opens the guard. sp may be nil (untraced).
 func (t *Trainer) trip(sp *obs.TSpan) {
 	t.state = Open
-	t.frozenLeft = t.cfg.Cooldown
+	t.frozenLeft = cooldownAttempts
 	t.consec = 0
 	t.stats.Trips++
 	tripsTotal.Inc()
-	sp.Event("guard:trip", "cooldown", strconv.Itoa(t.cfg.Cooldown))
+	sp.Event("guard:trip", "cooldown", strconv.Itoa(cooldownAttempts))
 }
 
 // commit accepts the update, closes the guard and persists the checkpoint.

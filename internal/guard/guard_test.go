@@ -156,7 +156,7 @@ func TestGuardBreakerTransitions(t *testing.T) {
 	// successful probe (→Closed) and a normal commit.
 	tr, stub := newStubTrainer(t,
 		script(100, 200, 200, 200, 200, 100, 100),
-		Config{Budget: 0.02, Threshold: 3, Cooldown: 2})
+		Config{Budget: 0.02})
 	tr.Train(batch(t, 1))
 	base := stub.param
 

@@ -163,7 +163,7 @@ func (t *Trainer) TryRestore() (bool, error) {
 	st.LastCanaryAD = dec.Float64()
 	anchored := dec.Bool()
 	canaryBase := dec.Float64()
-	q, err := decodeQuarantine(dec, t.cfg.QuarantineCap)
+	q, err := decodeQuarantine(dec, quarantineCap)
 	if err != nil {
 		return false, fmt.Errorf("guard: checkpoint metadata: %w", err)
 	}

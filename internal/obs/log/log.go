@@ -202,9 +202,6 @@ func (l *Logger) Error(ctx context.Context, msg string, kv ...any) {
 	l.Log(ctx, LevelError, msg, kv...)
 }
 
-// Debug emits at LevelDebug on the Default logger.
-func Debug(ctx context.Context, msg string, kv ...any) { Default.Log(ctx, LevelDebug, msg, kv...) }
-
 // Info emits at LevelInfo on the Default logger.
 func Info(ctx context.Context, msg string, kv ...any) { Default.Log(ctx, LevelInfo, msg, kv...) }
 

@@ -34,15 +34,6 @@ func New() *Observer {
 // Default is the process-wide observer all instrumented packages feed.
 var Default = New()
 
-// Reset zeroes every metric value, drops all flight records on the Default
-// observer, and rewinds the deterministic trace ID sequence. Registered
-// metric objects survive, so cached handles remain valid.
-func Reset() {
-	Default.Metrics.Reset()
-	Default.Flight.Reset()
-	ResetTraceIDs()
-}
-
 // GetCounter returns (registering if needed) a counter on the Default
 // registry. Hot paths call this once at package init and keep the handle.
 func GetCounter(name string) *Counter { return Default.Metrics.Counter(name) }
@@ -50,18 +41,8 @@ func GetCounter(name string) *Counter { return Default.Metrics.Counter(name) }
 // GetGauge returns a gauge handle on the Default registry.
 func GetGauge(name string) *Gauge { return Default.Metrics.Gauge(name) }
 
-// Inc increments a Default-registry counter by one.
-func Inc(name string) { Default.Metrics.Counter(name).Inc() }
-
-// Add increments a Default-registry counter by d.
-func Add(name string, d int64) { Default.Metrics.Counter(name).Add(d) }
-
 // SetGauge sets a Default-registry gauge.
 func SetGauge(name string, v float64) { Default.Metrics.Gauge(name).Set(v) }
-
-// Observe records one sample into a Default-registry histogram with the
-// default buckets.
-func Observe(name string, v float64) { Default.Metrics.Histogram(name, nil).Observe(v) }
 
 // Record appends one value to a Default-registry series.
 func Record(name string, v float64) { Default.Metrics.Series(name).Append(v) }

@@ -137,9 +137,6 @@ func NewSLOTracker(name string, cfg SLOConfig, clock Clock) *SLOTracker {
 	}
 }
 
-// Objective returns the effective target good ratio.
-func (s *SLOTracker) Objective() float64 { return s.cfg.Objective }
-
 // Observe records one good or bad event and refreshes the burn-rate gauges.
 func (s *SLOTracker) Observe(good bool) {
 	now := s.clock()

@@ -105,9 +105,6 @@ func (t *Trace) nextSpanIDLocked() string {
 // ID returns the 32-hex-digit trace ID.
 func (t *Trace) ID() string { return t.id }
 
-// Name returns the root span name.
-func (t *Trace) Name() string { return t.name }
-
 // Root returns the root span.
 func (t *Trace) Root() *TSpan { return t.root }
 

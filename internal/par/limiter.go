@@ -1,10 +1,6 @@
 package par
 
-import (
-	"context"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Limiter is a named counting semaphore: the admission-control primitive of
 // the serving layer. Where Pool fans a known batch of tasks out, Limiter
@@ -16,8 +12,7 @@ import (
 // tracks held slots, par_limiter_acquired_total / par_limiter_rejected_total
 // count the admission decisions.
 type Limiter struct {
-	name string
-	ch   chan struct{}
+	ch chan struct{}
 
 	inflight *obs.Gauge
 	acquired *obs.Counter
@@ -30,16 +25,12 @@ func NewLimiter(name string, n int) *Limiter {
 		n = 1
 	}
 	return &Limiter{
-		name:     name,
 		ch:       make(chan struct{}, n),
 		inflight: obs.GetGauge(obs.Name("par_limiter_inflight", "limiter", name)),
 		acquired: obs.GetCounter(obs.Name("par_limiter_acquired_total", "limiter", name)),
 		rejected: obs.GetCounter(obs.Name("par_limiter_rejected_total", "limiter", name)),
 	}
 }
-
-// Name returns the limiter's name.
-func (l *Limiter) Name() string { return l.name }
 
 // Cap returns the slot count.
 func (l *Limiter) Cap() int { return cap(l.ch) }
@@ -61,21 +52,7 @@ func (l *Limiter) TryAcquire() bool {
 	}
 }
 
-// Acquire blocks for a slot until ctx is done. A nil error means the slot is
-// held and must be Released.
-func (l *Limiter) Acquire(ctx context.Context) error {
-	select {
-	case l.ch <- struct{}{}:
-		l.inflight.Add(1)
-		l.acquired.Inc()
-		return nil
-	case <-ctx.Done():
-		l.rejected.Inc()
-		return ctx.Err()
-	}
-}
-
-// Release returns a slot taken by TryAcquire or a successful Acquire.
+// Release returns a slot taken by TryAcquire.
 // Releasing an unheld slot panics: it means the caller's accounting is
 // broken, and a silently widened limiter would defeat admission control.
 func (l *Limiter) Release() {

@@ -1,11 +1,9 @@
 package par
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestLimiterTryAcquireBound(t *testing.T) {
@@ -31,23 +29,6 @@ func TestLimiterTryAcquireBound(t *testing.T) {
 	if l.InUse() != 0 {
 		t.Fatalf("InUse = %d, want 0", l.InUse())
 	}
-}
-
-func TestLimiterAcquireCtx(t *testing.T) {
-	l := NewLimiter("test_ctx", 1)
-	if err := l.Acquire(context.Background()); err != nil {
-		t.Fatalf("Acquire on empty limiter: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := l.Acquire(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Acquire on full limiter = %v, want DeadlineExceeded", err)
-	}
-	l.Release()
-	if err := l.Acquire(context.Background()); err != nil {
-		t.Fatalf("Acquire after Release: %v", err)
-	}
-	l.Release()
 }
 
 func TestLimiterReleaseWithoutAcquirePanics(t *testing.T) {

@@ -36,7 +36,7 @@ var latencyBuckets = []float64{
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Pool is a named, bounded fan-out domain. The zero value is not usable; use
-// New. Pools hold no goroutines between calls — Map spawns exactly the
+// New. Pools hold no goroutines between calls — MapCtx spawns exactly the
 // workers it needs and joins them before returning.
 type Pool struct {
 	name    string
@@ -48,7 +48,7 @@ type Pool struct {
 }
 
 // New builds a pool named for its experiment phase. workers <= 0 selects
-// DefaultWorkers; workers == 1 makes Map run every task inline on the caller
+// DefaultWorkers; workers == 1 makes MapCtx run every task inline on the caller
 // goroutine (the serial path, byte-identical to the pre-pool code and with
 // intact span nesting).
 func New(name string, workers int) *Pool {
@@ -84,19 +84,12 @@ func run[T any](p *Pool, i int, fn func(i int) (T, error)) (T, error) {
 	return v, err
 }
 
-// Map runs fn for every index in [0, n) with at most p.Workers() tasks in
-// flight and returns the results in index order. The first task failure
-// short-circuits the remaining queue — see MapCtx for the exact semantics.
+// MapCtx runs fn for every index in [0, n) with at most p.Workers() tasks in
+// flight and returns the results in index order. With one worker (or one
+// task) everything runs inline on the caller's goroutine — no spawn,
+// identical span nesting to a serial loop.
 //
-// With one worker (or one task) everything runs inline on the caller's
-// goroutine — no spawn, identical span nesting to a serial loop.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), p, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is Map with cooperative cancellation. Each task receives a context
+// Cancellation is cooperative. Each task receives a context
 // that is cancelled as soon as the parent ctx is, or as soon as any task
 // fails — queued tasks that have not started are then skipped (their result
 // slots keep the zero value), so one bad cell no longer pays for the whole
@@ -171,20 +164,6 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 		return results, err
 	}
 	return results, ctx.Err()
-}
-
-// Do is Map for tasks without a result value.
-func Do(p *Pool, n int, fn func(i int) error) error {
-	_, err := Map(p, n, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
-	return err
-}
-
-// DoCtx is MapCtx for tasks without a result value.
-func DoCtx(ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }
 
 func firstError(errs []error) error {

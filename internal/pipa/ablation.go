@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"repro/internal/advisor"
-	"repro/internal/cost"
 	"repro/internal/qgen"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -38,7 +38,8 @@ func (j BADInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, siz
 	st := j.Tester
 	pref := st.Probe(ctx, ia)
 	rng := st.rng(14)
-	topIdx := bestIndex(st, pref)
+	top, _, _ := st.Segments(pref)
+	topIdx := bestIndex(top, pref.Ranking)
 	f := qgen.NewFSM(st.Schema)
 	w := &workload.Workload{}
 	for attempts := 0; w.Len() < size && attempts < size*20; attempts++ {
@@ -77,31 +78,12 @@ func (j SUBInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, siz
 	st := j.Tester
 	pref := st.Probe(ctx, ia)
 	rng := st.rng(15)
-	_, mid, low := st.Segments(pref)
-	pool := append(append([]string(nil), mid...), low...)
-	if len(pool) == 0 {
-		pool = pref.Ranking
-	}
 	w := &workload.Workload{}
-	for attempts := 0; w.Len() < size && attempts < size*20; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(pool, st.Cfg.NumCols, rng)
-		q, err := st.Gen.Generate(cs, st.Cfg.RewardTarget, rng)
-		if err != nil || q == nil {
-			continue
-		}
-		var subIdx []cost.Index
-		for _, c := range cs {
-			subIdx = append(subIdx, cost.NewIndex(c))
-		}
-		// Promote filter only: the suboptimal indexes must genuinely optimize
-		// the query (otherwise retraining learns nothing from it).
-		if st.WhatIf.QueryCost(q, subIdx) < st.WhatIf.QueryCost(q, nil)*0.95 {
-			w.Add(q, 1)
-		}
-	}
+	// Promote filter only: the suboptimal indexes must genuinely optimize
+	// the query (otherwise retraining learns nothing from it).
+	st.generate(ctx, w, suboptimalPool(st, pref), st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*20, rng, func(q *sql.Query, cs []string) bool {
+		return st.cheaper(q, cs, nil, 0.95)
+	})
 	return w
 }
 
@@ -123,31 +105,23 @@ func (j BadSubInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, 
 	st := j.Tester
 	pref := st.Probe(ctx, ia)
 	rng := st.rng(16)
-	_, mid, low := st.Segments(pref)
-	pool := append(append([]string(nil), mid...), low...)
-	if len(pool) == 0 {
-		pool = pref.Ranking
-	}
-	topIdx := bestIndex(st, pref)
+	top, _, _ := st.Segments(pref)
+	topIdx := bestIndex(top, pref.Ranking)
 	w := &workload.Workload{}
-	for attempts := 0; w.Len() < size && attempts < size*20; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(pool, st.Cfg.NumCols, rng)
-		q, err := st.Gen.Generate(cs, st.Cfg.RewardTarget, rng)
-		if err != nil || q == nil {
-			continue
-		}
-		var subIdx []cost.Index
-		for _, c := range cs {
-			subIdx = append(subIdx, cost.NewIndex(c))
-		}
-		if st.WhatIf.QueryCost(q, subIdx) < st.WhatIf.QueryCost(q, topIdx) {
-			w.Add(q, 1)
-		}
-	}
+	st.generate(ctx, w, suboptimalPool(st, pref), st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*20, rng, func(q *sql.Query, cs []string) bool {
+		return st.cheaper(q, cs, topIdx, 1)
+	})
 	return w
+}
+
+// suboptimalPool returns the mid- and low-ranked segments together (the
+// whole ranking when both are empty): the columns SUB and BAD+SUB target.
+func suboptimalPool(st *StressTester, pref *Preference) []string {
+	_, mid, low := st.Segments(pref)
+	if pool := append(append([]string(nil), mid...), low...); len(pool) > 0 {
+		return pool
+	}
+	return pref.Ranking
 }
 
 // ROODInjector is the random out-of-distribution ablation (openGauss
@@ -165,8 +139,9 @@ func (ROODInjector) Name() string { return "R-OOD" }
 // BuildInjection implements Injector.
 func (j ROODInjector) BuildInjection(ctx context.Context, _ advisor.Advisor, size int) *workload.Workload {
 	st := j.Tester
-	rng := st.rng(17)
-	return st.randomInjection(ctx, st.oodColumns(), size, rng)
+	w := &workload.Workload{}
+	st.generate(ctx, w, st.oodColumns(), st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*20, st.rng(17), nil)
+	return w
 }
 
 // NOODInjector is the in-distribution random baseline (openGauss
@@ -183,42 +158,9 @@ func (NOODInjector) Name() string { return "N-OOD" }
 // BuildInjection implements Injector.
 func (j NOODInjector) BuildInjection(ctx context.Context, _ advisor.Advisor, size int) *workload.Workload {
 	st := j.Tester
-	rng := st.rng(18)
-	return st.randomInjection(ctx, st.inDistColumns(), size, rng)
-}
-
-// randomInjection generates size index-aware queries with columns sampled
-// uniformly from pool, with no victim-derived filtering — the common core of
-// the two OOD baselines.
-func (st *StressTester) randomInjection(ctx context.Context, pool []string, size int, rng *rand.Rand) *workload.Workload {
 	w := &workload.Workload{}
-	if len(pool) == 0 {
-		return w
-	}
-	for attempts := 0; w.Len() < size && attempts < size*20; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(pool, st.Cfg.NumCols, rng)
-		if q, err := st.Gen.Generate(cs, st.Cfg.RewardTarget, rng); err == nil && q != nil {
-			w.Add(q, 1)
-		}
-	}
+	st.generate(ctx, w, st.inDistColumns(), st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*20, st.rng(18), nil)
 	return w
-}
-
-// bestIndex returns a one-index configuration on the victim's top-ranked
-// column (nil for a degenerate ranking).
-func bestIndex(st *StressTester, pref *Preference) []cost.Index {
-	top, _, _ := st.Segments(pref)
-	switch {
-	case len(top) > 0:
-		return []cost.Index{cost.NewIndex(top[0])}
-	case len(pref.Ranking) > 0:
-		return []cost.Index{cost.NewIndex(pref.Ranking[0])}
-	default:
-		return nil
-	}
 }
 
 // distColumns lazily splits the schema's indexable columns into the set the

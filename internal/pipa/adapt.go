@@ -2,12 +2,11 @@ package pipa
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 
 	"repro/internal/advisor"
-	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -80,12 +79,20 @@ func (j AdaptInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, s
 	}
 	rng := st.rng(19)
 
-	_, mid, _ := st.Segments(pref)
+	top, mid, _ := st.Segments(pref)
 	if len(mid) == 0 {
 		mid = pref.Ranking
 	}
 	state := adaptState{pool: mid, rewardTarget: st.Cfg.RewardTarget, toxicFrac: 1}
-	topIdx := bestIndex(st, pref)
+	topIdx := bestIndex(top, pref.Ranking)
+	// generate tops w up to n with toxic candidates of the current mutation
+	// state, 20 attempts per missing query: queries over the state's pool at
+	// its sharpness that beat the victim's top index (the BAD+SUB filter).
+	generate := func(w *workload.Workload, n int) {
+		st.generate(ctx, w, state.pool, st.Cfg.NumCols, state.rewardTarget, n, (n-w.Len())*20, rng, func(q *sql.Query, cs []string) bool {
+			return st.cheaper(q, cs, topIdx, 1)
+		})
+	}
 
 	accepted := &workload.Workload{}
 	for probe := 0; probe < st.Cfg.AdaptProbes && accepted.Len() < size; probe++ {
@@ -98,7 +105,8 @@ func (j AdaptInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, s
 		if nToxic < 1 {
 			nToxic = 1
 		}
-		toxic := j.generate(ctx, state, topIdx, nToxic, rng)
+		toxic := &workload.Workload{}
+		generate(toxic, nToxic)
 		batch := toxic
 		if decoys := size - toxic.Len(); decoys > 0 && state.toxicFrac < 1 {
 			// Dilution: pad the trial batch with benchmark-template decoys so
@@ -126,43 +134,8 @@ func (j AdaptInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, s
 
 	// Top up with the final mutation generation: unprobed, but shaped by
 	// everything the verdicts taught.
-	if accepted.Len() < size {
-		rest := j.generate(ctx, state, topIdx, size-accepted.Len(), rng)
-		for i, q := range rest.Queries {
-			accepted.Add(q, rest.Freqs[i])
-		}
-	}
+	generate(accepted, size)
 	return accepted
-}
-
-// generate produces n toxic candidates under the current mutation state:
-// index-aware queries over the state's column pool that beat the victim's top
-// index (the BAD+SUB core filter), at the state's sharpness.
-func (j AdaptInjector) generate(ctx context.Context, state adaptState, topIdx []cost.Index, n int, rng *rand.Rand) *workload.Workload {
-	st := j.Tester
-	w := &workload.Workload{}
-	pool := state.pool
-	if len(pool) == 0 {
-		return w
-	}
-	for attempts := 0; w.Len() < n && attempts < n*20; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(pool, st.Cfg.NumCols, rng)
-		q, err := st.Gen.Generate(cs, state.rewardTarget, rng)
-		if err != nil || q == nil {
-			continue
-		}
-		var subIdx []cost.Index
-		for _, c := range cs {
-			subIdx = append(subIdx, cost.NewIndex(c))
-		}
-		if st.WhatIf.QueryCost(q, subIdx) < st.WhatIf.QueryCost(q, topIdx) {
-			w.Add(q, 1)
-		}
-	}
-	return w
 }
 
 // mutate evolves the attacker's state from one verdict. Each screening

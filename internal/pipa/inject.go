@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -90,38 +91,23 @@ func (st *StressTester) InjectN(ctx context.Context, pref *Preference, na int) *
 	if len(mid) == 0 {
 		mid = pref.Ranking // degenerate ranking: fall back to everything
 	}
-	var topIdx []cost.Index
-	if len(top) > 0 {
-		topIdx = []cost.Index{cost.NewIndex(top[0])}
-	} else if len(pref.Ranking) > 0 {
-		topIdx = []cost.Index{cost.NewIndex(pref.Ranking[0])}
-	}
+	topIdx := bestIndex(top, pref.Ranking)
 
+	// Filter (Alg. 2 line 4): indexes on {c} must beat the top-ranked index
+	// on the query; mid-targeted queries that fail it go to the reserve.
 	tw := &workload.Workload{}
-	reserve := &workload.Workload{} // mid-targeted queries that failed the filter
-	maxAttempts := na * 12
-	for attempt := 0; tw.Len() < na && attempt < maxAttempts; attempt++ {
-		if ctx != nil && ctx.Err() != nil {
-			return tw
+	reserve := &workload.Workload{}
+	attempts := st.generate(ctx, tw, mid, st.Cfg.NumCols, st.Cfg.RewardTarget, na, na*12, rng, func(q *sql.Query, cs []string) bool {
+		if st.cheaper(q, cs, topIdx, 1) {
+			return true
 		}
-		injectAttempts.Inc()
-		cs := sampleUniform(mid, st.Cfg.NumCols, rng)
-		q, err := st.Gen.Generate(cs, st.Cfg.RewardTarget, rng)
-		if err != nil || q == nil {
-			continue
-		}
-		// Filter (Alg. 2 line 4): indexes on {c} must beat the top-ranked
-		// index on this query.
-		var midIdx []cost.Index
-		for _, c := range cs {
-			midIdx = append(midIdx, cost.NewIndex(c))
-		}
-		if st.WhatIf.QueryCost(q, midIdx) < st.WhatIf.QueryCost(q, topIdx) {
-			injectAccepted.Inc()
-			tw.Add(q, 1)
-		} else {
-			reserve.Add(q, 1)
-		}
+		reserve.Add(q, 1)
+		return false
+	})
+	injectAccepted.Add(int64(tw.Len()))
+	if ctx != nil && ctx.Err() != nil {
+		injectAttempts.Add(int64(attempts))
+		return tw
 	}
 	// An empty injection would silently skip the stress test; fall back to
 	// the unfiltered mid-targeted queries — weaker, but still toxic-leaning.
@@ -130,17 +116,58 @@ func (st *StressTester) InjectN(ctx context.Context, pref *Preference, na int) *
 	}
 	// Last resort (tiny probing budgets can leave an unusable mid pool):
 	// single-column generation over the mid segment.
-	for attempt := 0; tw.Len() < na && attempt < na*4; attempt++ {
+	attempts += st.generate(ctx, tw, mid, 1, st.Cfg.RewardTarget, na, na*4, rng, nil)
+	injectAttempts.Add(int64(attempts))
+	return tw
+}
+
+// generate is the one sample→generate→filter loop every IABART-based
+// injector runs (DESIGN.md §14.1): each attempt samples k columns uniformly
+// from pool, asks IABART for a query over them at the given reward target,
+// and adds the query to w with unit frequency when keep accepts it (a nil
+// keep accepts every query). It stops once w holds n queries, after
+// maxAttempts attempts, or when ctx is cancelled, and returns the attempts it
+// spent. An empty pool spends none.
+func (st *StressTester) generate(ctx context.Context, w *workload.Workload, pool []string, k int, target float64, n, maxAttempts int, rng *rand.Rand, keep func(q *sql.Query, cs []string) bool) int {
+	if len(pool) == 0 {
+		return 0
+	}
+	attempts := 0
+	for ; w.Len() < n && attempts < maxAttempts; attempts++ {
 		if ctx != nil && ctx.Err() != nil {
-			return tw
+			break
 		}
-		injectAttempts.Inc()
-		cs := sampleUniform(mid, 1, rng)
-		if q, err := st.Gen.Generate(cs, st.Cfg.RewardTarget, rng); err == nil && q != nil {
-			tw.Add(q, 1)
+		cs := sampleUniform(pool, k, rng)
+		q, err := st.Gen.Generate(cs, target, rng)
+		if err == nil && q != nil && (keep == nil || keep(q, cs)) {
+			w.Add(q, 1)
 		}
 	}
-	return tw
+	return attempts
+}
+
+// cheaper reports whether single-column indexes on cs cost q less than
+// factor times its cost under the configuration than. The what-if oracle
+// prices cs's indexes first.
+func (st *StressTester) cheaper(q *sql.Query, cs []string, than []cost.Index, factor float64) bool {
+	idx := make([]cost.Index, len(cs))
+	for i, c := range cs {
+		idx[i] = cost.NewIndex(c)
+	}
+	return st.WhatIf.QueryCost(q, idx) < st.WhatIf.QueryCost(q, than)*factor
+}
+
+// bestIndex returns a one-index configuration on the victim's top-ranked
+// column: the head of the top segment, else of the ranking (nil when both
+// are empty).
+func bestIndex(top, ranking []string) []cost.Index {
+	if len(top) == 0 {
+		top = ranking
+	}
+	if len(top) == 0 {
+		return nil
+	}
+	return []cost.Index{cost.NewIndex(top[0])}
 }
 
 // sampleUniform draws up to k distinct values uniformly from pool.

@@ -67,18 +67,9 @@ func (IRInjector) Name() string { return "I-R" }
 
 // BuildInjection implements Injector.
 func (j IRInjector) BuildInjection(ctx context.Context, _ advisor.Advisor, size int) *workload.Workload {
-	rng := j.Tester.rng(12)
-	cols := j.Tester.Schema.IndexableColumnNames()
+	st := j.Tester
 	w := &workload.Workload{}
-	for attempts := 0; w.Len() < size && attempts < size*10; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(cols, j.Tester.Cfg.NumCols, rng)
-		if q, err := j.Tester.Gen.Generate(cs, j.Tester.Cfg.RewardTarget, rng); err == nil && q != nil {
-			w.Add(q, 1)
-		}
-	}
+	st.generate(ctx, w, st.Schema.IndexableColumnNames(), st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*10, st.rng(12), nil)
 	return w
 }
 
@@ -94,19 +85,11 @@ func (ILInjector) Name() string { return "I-L" }
 
 // BuildInjection implements Injector.
 func (j ILInjector) BuildInjection(ctx context.Context, ia advisor.Advisor, size int) *workload.Workload {
-	rng := j.Tester.rng(13)
-	pref := j.Tester.Probe(ctx, ia)
-	low := pref.Ranking[len(pref.Ranking)/2:]
+	st := j.Tester
+	rng := st.rng(13)
+	pref := st.Probe(ctx, ia)
 	w := &workload.Workload{}
-	for attempts := 0; w.Len() < size && attempts < size*10; attempts++ {
-		if ctx != nil && ctx.Err() != nil {
-			return w
-		}
-		cs := sampleUniform(low, j.Tester.Cfg.NumCols, rng)
-		if q, err := j.Tester.Gen.Generate(cs, j.Tester.Cfg.RewardTarget, rng); err == nil && q != nil {
-			w.Add(q, 1)
-		}
-	}
+	st.generate(ctx, w, pref.Ranking[len(pref.Ranking)/2:], st.Cfg.NumCols, st.Cfg.RewardTarget, size, size*10, rng, nil)
 	return w
 }
 

@@ -58,9 +58,8 @@ type Sample struct {
 
 // Special corpus tokens.
 const (
-	TokCLS  = "<CLS>"
-	TokSEP  = "<SEP>"
-	TokMASK = "<MASK>"
+	TokCLS = "<CLS>"
+	TokSEP = "<SEP>"
 )
 
 // BuildCorpus constructs n training samples: FSM-generated queries labeled

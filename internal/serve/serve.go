@@ -126,9 +126,6 @@ type Config struct {
 	// Default 5s.
 	DefaultTimeout time.Duration
 
-	// MaxTimeout caps client-requested deadlines. Default 60s.
-	MaxTimeout time.Duration
-
 	// DegradeAfter is how long a request waits for a full-tier replica
 	// before falling down the ladder. Default DefaultTimeout/4.
 	DegradeAfter time.Duration
@@ -138,9 +135,8 @@ type Config struct {
 
 	// BreakerThreshold consecutive full-tier timeouts trip the tier breaker
 	// (requests then skip straight to the degraded tiers until
-	// BreakerCooldown elapses). Defaults 3 and 1s.
+	// breakerCooldown elapses). Default 3.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// Flight is the flight recorder anomalous request traces are retained
 	// in. Nil selects the Default observer's recorder, so the daemon's
@@ -151,10 +147,6 @@ type Config struct {
 	// anomalous ones (smoke tests and debugging; the ring stays bounded).
 	TraceAll bool
 
-	// SLO parameterizes the availability SLO whose burn rate gates /readyz;
-	// zero values select the obs defaults (99% objective, 1m/10m windows).
-	SLO obs.SLOConfig
-
 	// Clock drives request-trace timestamps and the SLO windows. Nil selects
 	// the wall clock; tests inject a fake for deterministic span durations.
 	Clock obs.Clock
@@ -163,6 +155,16 @@ type Config struct {
 	// process Default logger.
 	Logger *olog.Logger
 }
+
+// Fixed serving limits. The availability SLO gating /readyz runs at the obs
+// defaults (99% objective, 1m/10m burn windows).
+const (
+	// maxTimeout caps client-requested deadlines.
+	maxTimeout = 60 * time.Second
+	// breakerCooldown is how long a tripped tier breaker sends requests
+	// straight to the degraded tiers.
+	breakerCooldown = time.Second
+)
 
 func (c *Config) applyDefaults() {
 	if c.QueueDepth <= 0 {
@@ -177,9 +179,6 @@ func (c *Config) applyDefaults() {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = c.DefaultTimeout / 4
 	}
@@ -188,9 +187,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	if c.Flight == nil {
 		c.Flight = obs.Default.Flight
@@ -312,7 +308,6 @@ type Server struct {
 	mux       *http.ServeMux
 
 	httpSrv *http.Server
-	ln      net.Listener
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -364,9 +359,9 @@ func NewServer(cfg Config) (*Server, error) {
 		model:       model,
 		cache:       newRecCache(cfg.CacheCap),
 		admission:   par.NewLimiter("serve_admission", cfg.QueueDepth),
-		breaker:     fault.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+		breaker:     fault.NewBreaker(cfg.BreakerThreshold, breakerCooldown, nil),
 		flight:      cfg.Flight,
-		slo:         obs.NewSLOTracker("serve_availability", cfg.SLO, cfg.Clock),
+		slo:         obs.NewSLOTracker("serve_availability", obs.SLOConfig{}, cfg.Clock),
 		logger:      cfg.Logger,
 		updates:     make(chan *updateJob, cfg.UpdateQueue),
 		stopTrainer: make(chan struct{}),
@@ -408,13 +403,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // traffic). It is the /readyz check and suits obs.SetReadyHook.
 func (s *Server) Ready() bool { return s.ready.Load() && !s.slo.Breaching() }
 
-// Flight returns the flight recorder this daemon retains anomalous request
-// traces in.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
-// SLO returns the availability SLO tracker gating /readyz.
-func (s *Server) SLO() *obs.SLOTracker { return s.slo }
-
 // Version returns the currently published model version.
 func (s *Server) Version() uint64 { return s.model.Version() }
 
@@ -433,7 +421,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := s.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -441,14 +428,6 @@ func (s *Server) Start(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound listen address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Drain gracefully stops the daemon: flip readiness off, reject new work,
@@ -621,8 +600,8 @@ func (s *Server) parseWorkload(w http.ResponseWriter, r *http.Request, tr *obs.T
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		if timeout > maxTimeout {
+			timeout = maxTimeout
 		}
 	}
 	if req.Source != "" {

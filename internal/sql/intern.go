@@ -86,16 +86,6 @@ func (s *ColSet) Reset() {
 	}
 }
 
-// Empty reports whether the set has no members.
-func (s ColSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ColSetOf interns the given qualified column names and returns their set.
 func ColSetOf(names ...string) ColSet {
 	var s ColSet

@@ -43,15 +43,6 @@ func (t *Table) Value(col string, row int32) int64 {
 	return c[row]
 }
 
-// Columns returns the stored column names (unordered).
-func (t *Table) Columns() []string {
-	out := make([]string, 0, len(t.cols))
-	for c := range t.cols {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Store is a database instance: named tables plus secondary indexes keyed by
 // the cost.Index canonical key. Index creation is lazy and cached — building
 // an index is the "CREATE INDEX" of the simulation.
