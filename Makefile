@@ -60,12 +60,14 @@ attackzoo:
 		-injectors FSM,PIPA,BAD+SUB,R-OOD,ADAPT -workers 4
 
 # goldens reruns the Fig. 1 motivation, the Fig. 7 grid, the Fig. 8 case
-# studies and the attack zoo over DBAbandit-b and Heuristic, and compares
-# their stdout byte for byte with the committed results_fig1.txt,
-# results_fig7_tpch1.txt, results_fig8.txt and results_attackzoo.txt (the
-# first three include the cache-stats trailer; attackzoo prints its cache
-# telemetry on stderr). All four print the same bytes at any -workers. About
-# 2 s, 36 s, 5 s and 24 s on 2 vCPUs.
+# studies, the attack zoo over DBAbandit-b and Heuristic, the Fig. 10, 11 and
+# 12 sweeps and the Table 3 generator comparison, and compares their stdout,
+# cache-stats trailer included, byte for byte with the committed
+# results_fig1.txt, results_fig7_tpch1.txt, results_fig8.txt,
+# results_attackzoo.txt, results_fig10.txt, results_fig11.txt,
+# results_fig12.txt and results_table3.txt. All of them print the same bytes
+# at any -workers. About 2 s, 36 s, 5 s, 24 s, 11 s, 12 s, 8 s and 1 s on
+# 2 vCPUs.
 goldens:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \
@@ -73,7 +75,10 @@ goldens:
 	"$$tmp/pipa-bench" -exp fig8 > "$$tmp/fig8.txt"; cmp "$$tmp/fig8.txt" results_fig8.txt; \
 	"$$tmp/pipa-bench" -exp fig7 > "$$tmp/fig7.txt"; cmp "$$tmp/fig7.txt" results_fig7_tpch1.txt; \
 	"$$tmp/pipa-bench" -exp attackzoo -advisors DBAbandit-b,Heuristic > "$$tmp/attackzoo.txt"; \
-	cmp "$$tmp/attackzoo.txt" results_attackzoo.txt
+	cmp "$$tmp/attackzoo.txt" results_attackzoo.txt; \
+	for e in fig10 fig11 fig12 table3; do \
+		"$$tmp/pipa-bench" -exp $$e > "$$tmp/$$e.txt"; cmp "$$tmp/$$e.txt" results_$$e.txt; \
+	done
 
 # serve runs the serving-daemon suite under -race: admission control, the
 # degradation ladder, hot model swap, live rollback under load, the 2×

@@ -565,7 +565,7 @@ func BenchmarkInjecting(b *testing.B) {
 	pref := &pipa.Preference{Ranking: cols, K: k}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tw := st.Inject(context.Background(), pref); tw.Len() == 0 {
+		if tw := st.InjectN(context.Background(), pref, st.Cfg.Na); tw.Len() == 0 {
 			b.Fatal("empty injection")
 		}
 	}

@@ -286,14 +286,7 @@ func main() {
 		run("table3", func(ctx context.Context) (fmt.Stringer, error) { return experiments.RunGeneratorQuality(ctx, setup, n) })
 	}
 
-	// The attack-zoo results contract is byte-identical stdout at any -workers
-	// width and across kill-and-resume; the cache telemetry depends on both
-	// (fill order, journal skips), so it goes to stderr for that experiment.
-	statsOut := io.Writer(os.Stdout)
-	if *exp == "attackzoo" {
-		statsOut = os.Stderr
-	}
-	printCacheStats(setup, statsOut)
+	printCacheStats(setup, os.Stdout)
 
 	if *report != "" {
 		labels := map[string]string{
@@ -314,12 +307,8 @@ func main() {
 // how much the memoization layer is saving.
 func printCacheStats(setup *experiments.Setup, out io.Writer) {
 	st := setup.WhatIf.CacheStats()
-	fmt.Fprintf(out, "\nwhat-if cache: %d calls, %d hits (%.1f%% hit rate), %d entries",
+	fmt.Fprintf(out, "\nwhat-if cache: %d calls, %d hits (%.1f%% hit rate), %d entries\n",
 		st.Calls, st.Hits, 100*st.HitRate(), st.Entries)
-	if st.Evictions > 0 {
-		fmt.Fprintf(out, ", %d evictions", st.Evictions)
-	}
-	fmt.Fprintln(out)
 
 	counters := obs.Default.Metrics.Snapshot().Counters
 	var keys []string

@@ -18,7 +18,6 @@ var (
 	whatifCalls  = obs.GetCounter("cost_whatif_calls_total")
 	whatifHits   = obs.GetCounter("cost_whatif_hits_total")
 	whatifShared = obs.GetCounter("cost_whatif_flight_waits_total")
-	whatifEvicts = obs.GetCounter("cost_whatif_evictions_total")
 	whatifSize   = obs.GetGauge("cost_whatif_entries")
 	// whatifFallbacks counts fallback-cost decisions: calls answered by the
 	// heuristic FallbackCost because the breaker was open or retries ran out.
@@ -67,20 +66,15 @@ type flightCall struct {
 // It is safe for concurrent use: the cache is sharded numShards ways by key
 // hash with per-shard locks, keys share the query fingerprint cached at
 // resolve time instead of re-rendering or copying the SQL, and concurrent
-// misses on one key are deduplicated singleflight-style.
-//
-// MaxEntries bounds the cache (0 = unbounded). When full, an arbitrary
-// entry is evicted; eviction only affects recomputation, never values, so
-// experiments stay deterministic.
+// misses on one key are deduplicated singleflight-style. The cache is
+// unbounded.
 type WhatIf struct {
-	Model      *Model
-	MaxEntries int
+	Model *Model
 
 	shards  [numShards]shard
 	fps     *internTable // the query fingerprints entries hold, one copy each
 	calls   atomic.Int64
 	hits    atomic.Int64
-	evicts  atomic.Int64
 	entries atomic.Int64
 
 	// costFn overrides Model.QueryCost in tests (to count or delay
@@ -149,11 +143,10 @@ func (w *WhatIf) FaultStats() FaultStats {
 
 // CacheStats is a point-in-time view of the what-if cache.
 type CacheStats struct {
-	Calls     int64
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
+	Calls   int64
+	Hits    int64
+	Misses  int64
+	Entries int
 }
 
 // HitRate returns hits/calls, or 0 before any call.
@@ -217,16 +210,6 @@ func (w *WhatIf) queryCost(q *sql.Query, indexes []Index, idxKey string) float64
 		fl.val = w.computeFaulty(q, indexes, key.String())
 	}
 
-	// Respect the bound before inserting. Never holds two shard locks at
-	// once, so eviction cannot deadlock with concurrent inserts.
-	if w.MaxEntries > 0 {
-		for w.entries.Load() >= int64(w.MaxEntries) {
-			if !w.evictOne(sh) {
-				break
-			}
-		}
-	}
-
 	// Every parse renders its query's fingerprint anew; an entry keeps one
 	// copy per text, not the copy of the call that inserted it.
 	fp := w.fps.str(key.fp)
@@ -280,33 +263,6 @@ func (w *WhatIf) computeFaulty(q *sql.Query, indexes []Index, key string) float6
 	return w.faults.Perturb("whatif", key, v)
 }
 
-// evictOne removes one arbitrary entry, preferring the given shard, and
-// reports whether anything was evicted. Locks one shard at a time.
-func (w *WhatIf) evictOne(prefer *shard) bool {
-	victim := func(sh *shard) bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		for k := range sh.cache { // arbitrary victim; see type comment
-			delete(sh.cache, k)
-			w.entries.Add(-1)
-			w.evicts.Add(1)
-			whatifEvicts.Inc()
-			whatifSize.Add(-1)
-			return true
-		}
-		return false
-	}
-	if victim(prefer) {
-		return true
-	}
-	for i := range w.shards {
-		if sh := &w.shards[i]; sh != prefer && victim(sh) {
-			return true
-		}
-	}
-	return false
-}
-
 // WorkloadCost sums frequency-weighted memoized query costs. The index-set
 // key is derived (and interned) once for the whole sweep and shared across
 // shards. For repeated sweeps over a fixed workload with small index-set
@@ -344,11 +300,10 @@ func (w *WhatIf) Stats() (calls, hits int64) {
 func (w *WhatIf) CacheStats() CacheStats {
 	calls, hits := w.calls.Load(), w.hits.Load()
 	return CacheStats{
-		Calls:     calls,
-		Hits:      hits,
-		Misses:    calls - hits,
-		Evictions: w.evicts.Load(),
-		Entries:   int(w.entries.Load()),
+		Calls:   calls,
+		Hits:    hits,
+		Misses:  calls - hits,
+		Entries: int(w.entries.Load()),
 	}
 }
 

@@ -90,61 +90,6 @@ func TestShardOfHashesCompositeKey(t *testing.T) {
 	}
 }
 
-func TestWhatIfEviction(t *testing.T) {
-	s := catalog.TPCH(1)
-	w := NewWhatIf(NewModel(s))
-	w.MaxEntries = 2
-	queries := []*sql.Query{
-		whatifQuery(t, s, "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 1"),
-		whatifQuery(t, s, "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 2"),
-		whatifQuery(t, s, "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 3"),
-		whatifQuery(t, s, "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 4"),
-	}
-	for _, q := range queries {
-		w.QueryCost(q, nil)
-	}
-	st := w.CacheStats()
-	if st.Entries > 2 {
-		t.Fatalf("cache exceeded cap: %+v", st)
-	}
-	if st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
-	}
-	// Evicted or not, values must be identical on recomputation.
-	c1 := w.QueryCost(queries[0], nil)
-	c2 := w.Model.QueryCost(queries[0], nil)
-	if c1 != c2 {
-		t.Fatalf("evicting cache changed value: %v vs %v", c1, c2)
-	}
-}
-
-// TestWhatIfBoundedConcurrent hammers a capped cache: eviction churn must
-// never change values or race.
-func TestWhatIfBoundedConcurrent(t *testing.T) {
-	s := catalog.TPCH(1)
-	w := NewWhatIf(NewModel(s))
-	w.MaxEntries = 8
-	q := whatifQuery(t, s, "SELECT COUNT(*) FROM orders WHERE o_custkey < 500")
-	want := w.Model.QueryCost(q, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if got := w.QueryCost(q, nil); got != want {
-					t.Errorf("concurrent cost = %v, want %v", got, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if calls, _ := w.Stats(); calls != 1600 {
-		t.Fatalf("calls = %d, want 1600", calls)
-	}
-}
-
 // TestWhatIfConcurrentMatchesSerialOracle drives 16 goroutines over a mixed
 // key population (several queries × several index sets) and checks every
 // returned cost against a serial, uncached oracle: sharding and singleflight

@@ -71,7 +71,7 @@ func TestSanitizerDropsToxicQueries(t *testing.T) {
 		}
 	}
 	pref := &pipa.Preference{Ranking: ranking, K: k}
-	tw := st.Inject(context.Background(), pref)
+	tw := st.InjectN(context.Background(), pref, st.Cfg.Na)
 	if tw.Len() == 0 {
 		t.Skip("no toxic queries generated at this scale")
 	}

@@ -28,7 +28,7 @@
 // (1−ε)·n subset is an internal fitting device; a query is only dropped when
 // (a) the model class passes the realizability probe — with Config.Reference
 // set, the *deployed* estimator must already serve the trusted workload
-// within Config.FitCeiling, else clean traffic provably shows high regret
+// within fitCeiling, else clean traffic provably shows high regret
 // here and the screener abstains before fitting anything, (b) the final kept
 // subset is itself well-fit (worst loss at most the same ceiling — TRIM's
 // identification premise on the batch), (c) the query never made any fitted
@@ -106,6 +106,29 @@ func ParseVariant(s string) (Variant, error) {
 	return TRIM, fmt.Errorf("trim: unknown variant %q (want trim, atrim or irl)", s)
 }
 
+// The refit loop's fixed parameters.
+const (
+	// maxIters bounds the refit loop.
+	maxIters = 4
+
+	// relMargin and absMargin set the final drop rule: an out-of-subset
+	// query is dropped only when its smallest loss across every iteration
+	// exceeds
+	//   maxKept + relMargin·(maxKept − minKept) + absMargin,
+	// where maxKept/minKept bracket the final subset's losses. The margins
+	// are what keep clean batches drop-free: legitimate queries the index
+	// budget cannot serve land near the kept losses, not past the margin.
+	relMargin = 0.5
+	absMargin = 0.05
+
+	// fitCeiling is the abstention gate: queries are dropped only when the
+	// final kept subset's worst loss is at most this ceiling. A kept subset
+	// the estimator cannot serve breaks TRIM's identification premise — high
+	// loss then means "the index budget is starved", not "poison" — so the
+	// screener keeps everything rather than guess.
+	fitCeiling = 0.2
+)
+
 // Config parameterizes a Screener.
 type Config struct {
 	// Variant selects the estimator. Default TRIM.
@@ -116,30 +139,9 @@ type Config struct {
 	// stay trusted). Default 0.2.
 	Epsilon float64
 
-	// MaxIters bounds the refit loop. Default 4.
-	MaxIters int
-
-	// RelMargin and AbsMargin set the final drop rule: an out-of-subset
-	// query is dropped only when its smallest loss across every iteration
-	// exceeds
-	//   maxKept + RelMargin·(maxKept − minKept) + AbsMargin,
-	// where maxKept/minKept bracket the final subset's losses. The margins
-	// are what keep clean batches drop-free: legitimate queries the index
-	// budget cannot serve land near the kept losses, not past the margin.
-	// Defaults 0.5 and 0.05.
-	RelMargin float64
-	AbsMargin float64
-
-	// FitCeiling is the abstention gate: queries are dropped only when the
-	// final kept subset's worst loss is at most this ceiling. A kept subset
-	// the estimator cannot serve breaks TRIM's identification premise — high
-	// loss then means "the index budget is starved", not "poison" — so the
-	// screener keeps everything rather than guess. Default 0.2.
-	FitCeiling float64
-
 	// Reference, when non-nil, is a trusted clean workload used as a
 	// realizability probe before any fit: if the *deployed* estimator's worst
-	// regret on the reference already exceeds FitCeiling, the model class
+	// regret on the reference already exceeds fitCeiling, the model class
 	// provably cannot serve even known-clean traffic with low loss (the index
 	// budget is smaller than the clean demand), so a high loss carries no
 	// poison evidence and the screener abstains without fitting anything.
@@ -161,18 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epsilon > 0.45 {
 		c.Epsilon = 0.45
-	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = 4
-	}
-	if c.RelMargin == 0 {
-		c.RelMargin = 0.5
-	}
-	if c.AbsMargin == 0 {
-		c.AbsMargin = 0.05
-	}
-	if c.FitCeiling == 0 {
-		c.FitCeiling = 0.2
 	}
 	return c
 }
@@ -238,7 +228,7 @@ func (s *Screener) ScreenCtx(ctx context.Context, incoming *workload.Workload) (
 	// statement about the estimator's capacity, not about poison. When the
 	// probe passes, refMax is kept as a calibration point: the reference just
 	// demonstrated that clean traffic legitimately reaches that loss on this
-	// estimator, so the drop threshold below is floored at refMax + AbsMargin
+	// estimator, so the drop threshold below is floored at refMax + absMargin
 	// — a query no worse than observed clean tail traffic is never dropped.
 	refMax := -1.0
 	if ref := s.cfg.Reference; ref != nil && ref.Len() > 0 {
@@ -248,7 +238,7 @@ func (s *Screener) ScreenCtx(ctx context.Context, incoming *workload.Workload) (
 			// probe must leave no trace either way.
 			panic(fmt.Sprintf("trim: restore after reference probe failed: %v", err))
 		}
-		if refMax > s.cfg.FitCeiling {
+		if refMax > fitCeiling {
 			sp.Event("trim:abstain", "reference_max_loss", fmt.Sprintf("%.3f", refMax))
 			report.Kept = n
 			keptTotal.Add(int64(n))
@@ -269,16 +259,18 @@ func (s *Screener) ScreenCtx(ctx context.Context, incoming *workload.Workload) (
 	var r fitResult
 	switch s.cfg.Variant {
 	case ATRIM:
-		r = s.runATRIM(f, pre, keep)
+		r = runTRIM(f, pre, keep, allIndices(n))
 	case IRL:
-		r = s.runIRL(f, pre, keep)
+		r = runIRL(f, pre, keep)
 	default:
-		r = s.runTRIM(f, pre, keep)
+		subset := rand.New(rand.NewSource(s.cfg.Seed)).Perm(n)[:keep]
+		sort.Ints(subset)
+		r = runTRIM(f, pre, keep, subset)
 	}
 	minKept, maxKept, meanKept := subsetLossStats(r.losses, r.subset)
 	obs.Record(obs.Name("defense_trim_loss", "variant", s.Name()), meanKept)
-	threshold := maxKept + s.cfg.RelMargin*(maxKept-minKept) + s.cfg.AbsMargin
-	if floor := refMax + s.cfg.AbsMargin; refMax >= 0 && threshold < floor {
+	threshold := maxKept + relMargin*(maxKept-minKept) + absMargin
+	if floor := refMax + absMargin; refMax >= 0 && threshold < floor {
 		// Calibrated floor: when the kept subset fits tighter than the clean
 		// reference's own tail, the fit-relative threshold would condemn loss
 		// levels the reference proved harmless.
@@ -286,7 +278,7 @@ func (s *Screener) ScreenCtx(ctx context.Context, incoming *workload.Workload) (
 	}
 
 	dropOrig := make(map[int]bool)
-	if maxKept <= s.cfg.FitCeiling {
+	if maxKept <= fitCeiling {
 		// The estimator serves its kept subset, so a query whose loss never
 		// came down is evidence, not budget starvation.
 		var cand []int
@@ -374,47 +366,20 @@ func (r *fitResult) observe(losses []float64) {
 	}
 }
 
-// runTRIM is TRIM proper: random initial subset, then fit → re-select until
-// the subset is stable or the iteration budget runs out.
-func (s *Screener) runTRIM(f *fitter, pre []byte, keep int) fitResult {
-	n := f.cw.Len()
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	subset := append([]int(nil), rng.Perm(n)[:keep]...)
-	sort.Ints(subset)
-
-	r := newFitResult(n)
-	for r.iters < s.cfg.MaxIters {
+// runTRIM is the refit loop TRIM and ATRIM share: fit on subset, re-select
+// the lowest-loss keep queries, and repeat until the subset is stable or the
+// iteration budget runs out. TRIM proper starts from a seeded random subset;
+// ATRIM starts from the full batch, so its first selection is informed by
+// every query, and each later round re-fits from the trusted pre-state on
+// the current subset.
+func runTRIM(f *fitter, pre []byte, keep int, subset []int) fitResult {
+	r := newFitResult(f.cw.Len())
+	for r.iters < maxIters {
 		r.iters++
 		r.observe(f.fit(pre, subset, nil))
 		next := selectLowest(r.losses, keep)
 		markKept(r.everKept, next)
 		if equalInts(next, subset) {
-			subset = next
-			break
-		}
-		subset = next
-	}
-	r.subset = subset
-	return r
-}
-
-// runATRIM alternates model fitting with subset selection, starting from a
-// fit on the full batch: the first selection is informed by every query, and
-// each later round re-fits from the trusted pre-state on the current subset.
-func (s *Screener) runATRIM(f *fitter, pre []byte, keep int) fitResult {
-	n := f.cw.Len()
-	subset := make([]int, n)
-	for i := range subset {
-		subset[i] = i
-	}
-	r := newFitResult(n)
-	for r.iters < s.cfg.MaxIters {
-		r.iters++
-		r.observe(f.fit(pre, subset, nil))
-		next := selectLowest(r.losses, keep)
-		markKept(r.everKept, next)
-		if equalInts(next, subset) {
-			subset = next
 			break
 		}
 		subset = next
@@ -426,14 +391,14 @@ func (s *Screener) runATRIM(f *fitter, pre []byte, keep int) fitResult {
 // runIRL iteratively retrains on the loss-reweighted batch: every query stays
 // in the fit, but a round's high-loss queries count for less in the next. The
 // weights harden to a subset only for the final verdict.
-func (s *Screener) runIRL(f *fitter, pre []byte, keep int) fitResult {
+func runIRL(f *fitter, pre []byte, keep int) fitResult {
 	n := f.cw.Len()
 	weights := make([]float64, n)
 	for i := range weights {
 		weights[i] = 1
 	}
 	r := newFitResult(n)
-	for r.iters < s.cfg.MaxIters {
+	for r.iters < maxIters {
 		r.iters++
 		r.observe(f.fit(pre, nil, weights))
 		delta := 0.0
@@ -553,13 +518,19 @@ func maxLoss(losses []float64) float64 {
 	return m
 }
 
-// selectLowest returns the keep lowest-loss indices, ascending. Ties break on
-// the canonical index, so selection is deterministic.
-func selectLowest(losses []float64, keep int) []int {
-	idx := make([]int, len(losses))
+// allIndices returns 0, 1, …, n−1.
+func allIndices(n int) []int {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
+	return idx
+}
+
+// selectLowest returns the keep lowest-loss indices, ascending. Ties break on
+// the canonical index, so selection is deterministic.
+func selectLowest(losses []float64, keep int) []int {
+	idx := allIndices(len(losses))
 	sort.Slice(idx, func(a, b int) bool {
 		if losses[idx[a]] != losses[idx[b]] {
 			return losses[idx[a]] < losses[idx[b]]

@@ -83,7 +83,7 @@ func toxicInjection(t *testing.T, env *advisor.Env, st *pipa.StressTester) *work
 			ranking = append(ranking, c)
 		}
 	}
-	tw := st.Inject(context.Background(), &pipa.Preference{Ranking: ranking, K: k})
+	tw := st.InjectN(context.Background(), &pipa.Preference{Ranking: ranking, K: k}, st.Cfg.Na)
 	if tw.Len() == 0 {
 		t.Skip("no toxic queries generated at this scale")
 	}

@@ -42,6 +42,3 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 		c.ns.Add(int64(d))
 	}
 }
-
-// Elapsed returns how much simulated time has passed.
-func (c *VirtualClock) Elapsed() time.Duration { return time.Duration(c.ns.Load()) }

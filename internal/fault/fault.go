@@ -60,15 +60,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Kinds lists every fault kind, for sweeps and reports.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // ErrTransient is the error surfaced by injected transient failures.
 var ErrTransient = errors.New("fault: injected transient error")
 
@@ -82,6 +73,16 @@ var injectedCounters = func() [numKinds]*obs.Counter {
 	return cs
 }()
 
+// The fault magnitudes (DESIGN.md §8.1).
+const (
+	// noiseEpsilon is the NoisyCost relative amplitude.
+	noiseEpsilon = 0.15
+	// staleness is the StaleStats maximum relative inflation.
+	staleness = 0.5
+	// spikeDelay is the LatencySpike stall.
+	spikeDelay = 50 * time.Millisecond
+)
+
 // Config parameterizes one Injector.
 type Config struct {
 	// Rate is the per-decision fault probability in [0, 1]; 0 disables the
@@ -90,28 +91,8 @@ type Config struct {
 	// Seed drives every decision hash. Two injectors with equal (Config,
 	// call sequence) produce identical faults.
 	Seed int64
-	// Epsilon is the NoisyCost relative amplitude (default 0.15).
-	Epsilon float64
-	// Staleness is the StaleStats maximum relative inflation (default 0.5).
-	Staleness float64
-	// SpikeDelay is the LatencySpike stall (default 50ms).
-	SpikeDelay time.Duration
 	// Only, when non-nil, restricts injection to the listed kinds.
 	Only map[Kind]bool
-}
-
-// withDefaults fills the zero-value knobs.
-func (c Config) withDefaults() Config {
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.15
-	}
-	if c.Staleness == 0 {
-		c.Staleness = 0.5
-	}
-	if c.SpikeDelay == 0 {
-		c.SpikeDelay = 50 * time.Millisecond
-	}
-	return c
 }
 
 // Injector decides, deterministically, where faults fire. The zero of every
@@ -121,7 +102,7 @@ func (c Config) withDefaults() Config {
 type Injector struct {
 	cfg   Config
 	clock Clock
-	fired [numKinds]atomic.Int64
+	fired atomic.Int64
 }
 
 // New builds an injector; clock may be nil for the wall clock. Experiments
@@ -131,7 +112,7 @@ func New(cfg Config, clock Clock) *Injector {
 	if clock == nil {
 		clock = WallClock{}
 	}
-	return &Injector{cfg: cfg.withDefaults(), clock: clock}
+	return &Injector{cfg: cfg, clock: clock}
 }
 
 // Rate returns the configured fault probability (0 for a nil injector).
@@ -173,14 +154,14 @@ func (f *Injector) Hit(k Kind, site, key string, attempt int) bool {
 	if f.uniform(k, site, key, attempt, 0) >= f.cfg.Rate {
 		return false
 	}
-	f.fired[k].Add(1)
+	f.fired.Add(1)
 	injectedCounters[k].Inc()
 	return true
 }
 
 // Perturb returns v with the injector's estimate faults applied for
-// (site, key): a symmetric ±Epsilon error when NoisyCost fires and a
-// one-sided [0, Staleness] inflation when StaleStats fires. The perturbed
+// (site, key): a symmetric ±noiseEpsilon error when NoisyCost fires and a
+// one-sided [0, staleness] inflation when StaleStats fires. The perturbed
 // value is a pure function of (seed, site, key), so memoizing callers stay
 // deterministic.
 func (f *Injector) Perturb(site, key string, v float64) float64 {
@@ -189,11 +170,11 @@ func (f *Injector) Perturb(site, key string, v float64) float64 {
 	}
 	if f.Hit(NoisyCost, site, key, 0) {
 		u := f.uniform(NoisyCost, site, key, 0, 1) // independent of the decision draw
-		v *= 1 + (2*u-1)*f.cfg.Epsilon
+		v *= 1 + (2*u-1)*noiseEpsilon
 	}
 	if f.Hit(StaleStats, site, key, 0) {
 		u := f.uniform(StaleStats, site, key, 0, 1)
-		v *= 1 + u*f.cfg.Staleness
+		v *= 1 + u*staleness
 	}
 	if v < 0 {
 		v = 0
@@ -205,28 +186,17 @@ func (f *Injector) Perturb(site, key string, v float64) float64 {
 // (site, key). With a VirtualClock this advances simulated time only.
 func (f *Injector) Delay(site, key string) {
 	if f.Hit(LatencySpike, site, key, 0) {
-		f.clock.Sleep(f.cfg.SpikeDelay)
+		f.clock.Sleep(spikeDelay)
 	}
 }
 
-// Fired returns how many faults of kind k this injector has injected.
-func (f *Injector) Fired(k Kind) int64 {
-	if f == nil {
-		return 0
-	}
-	return f.fired[k].Load()
-}
-
-// FiredTotal sums the injected faults across all kinds.
+// FiredTotal returns how many faults, of every kind, this injector has
+// injected.
 func (f *Injector) FiredTotal() int64 {
 	if f == nil {
 		return 0
 	}
-	total := int64(0)
-	for i := range f.fired {
-		total += f.fired[i].Load()
-	}
-	return total
+	return f.fired.Load()
 }
 
 // uniform hashes (seed, kind, site, key, attempt, stream) to [0, 1).

@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// elapsed returns how much simulated time has passed on a clock that started
+// at the zero time.
+func elapsed(c *VirtualClock) time.Duration { return c.Now().Sub(time.Unix(0, 0)) }
+
 func TestHitDeterministicAndRateBounded(t *testing.T) {
 	f := New(Config{Rate: 0.3, Seed: 42}, NewVirtualClock())
 	g := New(Config{Rate: 0.3, Seed: 42}, NewVirtualClock())
@@ -28,8 +32,8 @@ func TestHitDeterministicAndRateBounded(t *testing.T) {
 	if frac < 0.25 || frac > 0.35 {
 		t.Errorf("hit rate = %.3f, want ≈ 0.30", frac)
 	}
-	if f.Fired(TransientErr) != int64(hits) {
-		t.Errorf("Fired = %d, want %d", f.Fired(TransientErr), hits)
+	if f.FiredTotal() != int64(hits) {
+		t.Errorf("FiredTotal = %d, want %d", f.FiredTotal(), hits)
 	}
 }
 
@@ -75,12 +79,12 @@ func TestNilInjectorIsNoop(t *testing.T) {
 }
 
 func TestPerturbBoundedAndDeterministic(t *testing.T) {
-	f := New(Config{Rate: 1, Seed: 9, Epsilon: 0.2, Staleness: 0.5}, nil)
+	f := New(Config{Rate: 1, Seed: 9}, nil)
 	for i := 0; i < 200; i++ {
 		key := string(rune(i)) + "k"
 		v := f.Perturb("cost", key, 100)
-		// NoisyCost: ×[0.8, 1.2]; StaleStats: ×[1, 1.5] — combined bounds.
-		if v < 100*0.8 || v > 100*1.2*1.5 {
+		// NoisyCost: ×[0.85, 1.15]; StaleStats: ×[1, 1.5] — combined bounds.
+		if v < 100*(1-noiseEpsilon) || v > 100*(1+noiseEpsilon)*(1+staleness) {
 			t.Fatalf("perturbed value %g out of bounds", v)
 		}
 		if v2 := f.Perturb("cost", key, 100); v2 != v {
@@ -101,10 +105,10 @@ func TestOnlyRestrictsKinds(t *testing.T) {
 
 func TestDelayAdvancesVirtualClock(t *testing.T) {
 	clock := NewVirtualClock()
-	f := New(Config{Rate: 1, Seed: 2, SpikeDelay: 10 * time.Millisecond, Only: map[Kind]bool{LatencySpike: true}}, clock)
+	f := New(Config{Rate: 1, Seed: 2, Only: map[Kind]bool{LatencySpike: true}}, clock)
 	f.Delay("s", "k")
-	if got := clock.Elapsed(); got != 10*time.Millisecond {
-		t.Errorf("virtual clock advanced %v, want 10ms", got)
+	if got := elapsed(clock); got != spikeDelay {
+		t.Errorf("virtual clock advanced %v, want %v", got, spikeDelay)
 	}
 }
 
@@ -126,7 +130,7 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 	if d := retriesTotal.Value() - before; d != 2 {
 		t.Errorf("fault_retries_total += %d, want 2", d)
 	}
-	if clock.Elapsed() <= 0 {
+	if elapsed(clock) <= 0 {
 		t.Error("no backoff slept on the injected clock")
 	}
 }
@@ -162,8 +166,8 @@ func TestRetryRespectsBudget(t *testing.T) {
 	if calls > 6 {
 		t.Errorf("budget did not bound the loop: %d calls", calls)
 	}
-	if clock.Elapsed() > pol.Budget {
-		t.Errorf("slept %v past the %v budget", clock.Elapsed(), pol.Budget)
+	if elapsed(clock) > pol.Budget {
+		t.Errorf("slept %v past the %v budget", elapsed(clock), pol.Budget)
 	}
 }
 
@@ -181,7 +185,7 @@ func TestRetryDeterministicBackoff(t *testing.T) {
 		clock := NewVirtualClock()
 		Retry(context.Background(), RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 11, Clock: clock},
 			"op", func(int) error { return ErrTransient })
-		return clock.Elapsed()
+		return elapsed(clock)
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("backoff schedule not deterministic: %v vs %v", a, b)
@@ -265,8 +269,8 @@ func TestKindStringAndKinds(t *testing.T) {
 		DroppedProbe: "dropped-probe",
 		StaleStats:   "stale-stats",
 	}
-	if len(Kinds()) != len(want) {
-		t.Fatalf("Kinds() = %v", Kinds())
+	if int(numKinds) != len(want) {
+		t.Fatalf("numKinds = %d, want %d", numKinds, len(want))
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -100,7 +100,7 @@ func TestGuardSanitizerAllPoisonedScreened(t *testing.T) {
 			ranking = append(ranking, c)
 		}
 	}
-	tw := st.Inject(context.Background(), &pipa.Preference{Ranking: ranking, K: k})
+	tw := st.InjectN(context.Background(), &pipa.Preference{Ranking: ranking, K: k}, st.Cfg.Na)
 	before := tr.Recommend(nw)
 
 	// Keep only the queries the sanitizer flags, so the batch is all-poison.

@@ -48,17 +48,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{cap: capacity}
 }
 
-// SetCap rebounds the ring, evicting oldest records if it shrank.
-func (f *FlightRecorder) SetCap(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultFlightCap
-	}
-	f.mu.Lock()
-	f.cap = capacity
-	f.trimLocked()
-	f.mu.Unlock()
-}
-
 // SetRecordAll toggles retention of non-anomalous traces.
 func (f *FlightRecorder) SetRecordAll(all bool) {
 	f.mu.Lock()

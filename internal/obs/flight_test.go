@@ -69,17 +69,6 @@ func TestFlightRingEviction(t *testing.T) {
 	}
 }
 
-func TestFlightSetCapShrinks(t *testing.T) {
-	f := NewFlightRecorder(8)
-	for i := 0; i < 6; i++ {
-		f.Observe(flightTrace("recommend", "shed"))
-	}
-	f.SetCap(2)
-	if f.Len() != 2 {
-		t.Fatalf("len after shrink = %d, want 2", f.Len())
-	}
-}
-
 func TestFlightServeHTTP(t *testing.T) {
 	f := NewFlightRecorder(8)
 	tr := flightTrace("update", "rollback")

@@ -182,11 +182,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, enc...)
 }
 
-// Debug emits at LevelDebug on l.
-func (l *Logger) Debug(ctx context.Context, msg string, kv ...any) {
-	l.Log(ctx, LevelDebug, msg, kv...)
-}
-
 // Info emits at LevelInfo on l.
 func (l *Logger) Info(ctx context.Context, msg string, kv ...any) {
 	l.Log(ctx, LevelInfo, msg, kv...)

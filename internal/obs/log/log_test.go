@@ -47,7 +47,7 @@ func TestLogLineFormat(t *testing.T) {
 func TestLogLevelThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, LevelWarn, nil)
-	l.Debug(nil, "d")
+	l.Log(nil, LevelDebug, "d")
 	l.Info(nil, "i")
 	l.Warn(nil, "w")
 	l.Error(nil, "e")

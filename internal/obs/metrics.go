@@ -304,99 +304,18 @@ func baseName(name string) string {
 	return name
 }
 
-// parseLabels splits a label-section body (the text between { and }) into
-// key/value pairs, honoring %q-quoted values with backslash escapes. ok is
-// false on anything malformed; callers then leave the name as-is.
-func parseLabels(body string) (pairs [][2]string, ok bool) {
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq <= 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			return nil, false
-		}
-		key := body[:eq]
-		// Scan the quoted value for its closing unescaped quote.
-		i := eq + 2
-		for i < len(body) {
-			if body[i] == '\\' {
-				i += 2
-				continue
-			}
-			if body[i] == '"' {
-				break
-			}
-			i++
-		}
-		if i >= len(body) {
-			return nil, false
-		}
-		pairs = append(pairs, [2]string{key, body[eq+1 : i+1]}) // value keeps its quotes
-		body = body[i+1:]
-		if body == "" {
-			break
-		}
-		if body[0] != ',' || len(body) == 1 {
-			return nil, false
-		}
-		body = body[1:]
-	}
-	return pairs, true
-}
-
-// canonicalName rewrites a metric name so its label set is sorted by key —
-// the canonical form Name produces. Handles cached by callers may carry
-// hand-written, unsorted label sets; canonicalizing at export time keeps the
-// /metrics output byte-deterministic regardless of registration style.
-// Malformed label sections are left untouched.
-func canonicalName(name string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
-		return name
-	}
-	pairs, ok := parseLabels(name[i+1 : len(name)-1])
-	if !ok {
-		return name
-	}
-	if sort.SliceIsSorted(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] }) {
-		return name
-	}
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
-	var b strings.Builder
-	b.WriteString(name[:i])
-	b.WriteByte('{')
-	for j, p := range pairs {
-		if j > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p[0])
-		b.WriteByte('=')
-		b.WriteString(p[1])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// exportName pairs a metric's canonical export name with its registration
-// name (the registry key).
-type exportName struct{ canon, orig string }
-
-// exportNames returns every key of m (a map[string]*Counter etc.) paired
-// with its canonical export name, sorted by canonical name (ties broken by
-// registration name, for stability).
-func exportNames[M ~map[string]V, V any](m M) []exportName {
-	entries := make([]exportName, 0, len(m))
+// sortedNames returns the keys of m (a map[string]*Counter etc.) in sorted
+// order.
+func sortedNames[M ~map[string]V, V any](m M) []string {
+	names := make([]string, 0, len(m))
 	for n := range m {
-		entries = append(entries, exportName{canonicalName(n), n})
+		names = append(names, n)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].canon != entries[j].canon {
-			return entries[i].canon < entries[j].canon
-		}
-		return entries[i].orig < entries[j].orig
-	})
-	return entries
+	sort.Strings(names)
+	return names
 }
 
-// labelPrefix rewrites `base{a="1"}` to `base_bucket{a="1",le="x"}`-style
+// labelJoin rewrites `base{a="1"}` to `base_bucket{a="1",le="x"}`-style
 // names for Prometheus histogram exposition.
 func labelJoin(name, suffix, extraK, extraV string) string {
 	base := baseName(name)
@@ -419,36 +338,35 @@ func labelJoin(name, suffix, extraK, extraV string) string {
 }
 
 // WriteProm writes the registry in Prometheus text exposition format,
-// byte-deterministically: label sets are canonicalized (sorted by key) at
-// export time and metrics are sorted by their canonical name, so two
-// registries holding the same values always render identically regardless
-// of registration order or hand-written label order. Series are exported as
-// gauges of their length (the values themselves belong in run reports, not
-// scrapes).
+// byte-deterministically: metrics are sorted by their registered name, and
+// every labelled name is registered through Name, which sorts its labels by
+// key, so two registries holding the same values always render identically
+// regardless of registration order. Series are exported as gauges of their
+// length (the values themselves belong in run reports, not scrapes).
 func (r *Registry) WriteProm(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
 	seen := map[string]bool{}
-	for _, n := range exportNames(r.counters) {
-		if b := baseName(n.canon); !seen[b] {
+	for _, n := range sortedNames(r.counters) {
+		if b := baseName(n); !seen[b] {
 			seen[b] = true
 			fmt.Fprintf(w, "# TYPE %s counter\n", b)
 		}
-		fmt.Fprintf(w, "%s %d\n", n.canon, r.counters[n.orig].Value())
+		fmt.Fprintf(w, "%s %d\n", n, r.counters[n].Value())
 	}
 
-	for _, n := range exportNames(r.gauges) {
-		if b := baseName(n.canon); !seen[b] {
+	for _, n := range sortedNames(r.gauges) {
+		if b := baseName(n); !seen[b] {
 			seen[b] = true
 			fmt.Fprintf(w, "# TYPE %s gauge\n", b)
 		}
-		fmt.Fprintf(w, "%s %g\n", n.canon, r.gauges[n.orig].Value())
+		fmt.Fprintf(w, "%s %g\n", n, r.gauges[n].Value())
 	}
 
-	for _, n := range exportNames(r.hists) {
-		h := r.hists[n.orig]
-		if b := baseName(n.canon); !seen[b] {
+	for _, n := range sortedNames(r.hists) {
+		h := r.hists[n]
+		if b := baseName(n); !seen[b] {
 			seen[b] = true
 			fmt.Fprintf(w, "# TYPE %s histogram\n", b)
 		}
@@ -456,20 +374,20 @@ func (r *Registry) WriteProm(w io.Writer) {
 		counts := h.BucketCounts()
 		for i, bound := range h.bounds {
 			cum += counts[i]
-			fmt.Fprintf(w, "%s %d\n", labelJoin(n.canon, "_bucket", "le", fmt.Sprintf("%g", bound)), cum)
+			fmt.Fprintf(w, "%s %d\n", labelJoin(n, "_bucket", "le", fmt.Sprintf("%g", bound)), cum)
 		}
 		cum += counts[len(counts)-1]
-		fmt.Fprintf(w, "%s %d\n", labelJoin(n.canon, "_bucket", "le", "+Inf"), cum)
-		fmt.Fprintf(w, "%s %g\n", labelJoin(n.canon, "_sum", "", ""), h.Sum())
-		fmt.Fprintf(w, "%s %d\n", labelJoin(n.canon, "_count", "", ""), h.Count())
+		fmt.Fprintf(w, "%s %d\n", labelJoin(n, "_bucket", "le", "+Inf"), cum)
+		fmt.Fprintf(w, "%s %g\n", labelJoin(n, "_sum", "", ""), h.Sum())
+		fmt.Fprintf(w, "%s %d\n", labelJoin(n, "_count", "", ""), h.Count())
 	}
 
-	for _, n := range exportNames(r.series) {
-		s := r.series[n.orig]
+	for _, n := range sortedNames(r.series) {
+		s := r.series[n]
 		s.mu.Lock()
 		l := len(s.vals)
 		s.mu.Unlock()
-		fmt.Fprintf(w, "%s %d\n", labelJoin(n.canon, "_points", "", ""), l)
+		fmt.Fprintf(w, "%s %d\n", labelJoin(n, "_points", "", ""), l)
 	}
 }
 

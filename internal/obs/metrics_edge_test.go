@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -87,39 +86,5 @@ func TestSeriesConcurrentAppend(t *testing.T) {
 	}
 	if s.Dropped() != 0 {
 		t.Fatalf("dropped = %d, want 0", s.Dropped())
-	}
-}
-
-// TestPromDeterministicUnsortedLabels is the golden test for byte-identical
-// /metrics output: two registries holding the same values — one registered
-// with hand-written unsorted label sets, one via canonical Name — must render
-// the exact same exposition bytes.
-func TestPromDeterministicUnsortedLabels(t *testing.T) {
-	a := NewRegistry()
-	a.Counter(`reqs_total{tier="full",code="200"}`).Add(3)
-	a.Counter(`reqs_total{code="429",tier="full"}`).Add(0) // unsorted twin of a sorted name
-	a.Gauge(`depth{pool="b",zone="x"}`).Set(1)
-	a.Histogram(`lat{zone="y",pool="a"}`, []float64{1}).Observe(0.5)
-	a.Series(`curve{b="2",a="1"}`).Append(0.1)
-
-	b := NewRegistry()
-	b.Counter(Name("reqs_total", "code", "200", "tier", "full")).Add(3)
-	b.Counter(Name("reqs_total", "code", "429", "tier", "full")).Add(0)
-	b.Gauge(Name("depth", "pool", "b", "zone", "x")).Set(1)
-	b.Histogram(Name("lat", "pool", "a", "zone", "y"), []float64{1}).Observe(0.5)
-	b.Series(Name("curve", "a", "1", "b", "2")).Append(0.1)
-
-	var wa, wb strings.Builder
-	a.WriteProm(&wa)
-	b.WriteProm(&wb)
-	if wa.String() != wb.String() {
-		t.Fatalf("unsorted-label registration changed the exposition:\n--- hand-written ---\n%s--- canonical ---\n%s", wa.String(), wb.String())
-	}
-	// Label sets in the output itself are canonical (sorted by key).
-	if !strings.Contains(wa.String(), `reqs_total{code="200",tier="full"} 3`) {
-		t.Fatalf("exposition not canonical:\n%s", wa.String())
-	}
-	if !strings.Contains(wa.String(), `lat_bucket{pool="a",zone="y",le="1"} 1`) {
-		t.Fatalf("histogram labels not canonical:\n%s", wa.String())
 	}
 }

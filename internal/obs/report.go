@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -77,29 +76,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// CounterValue reads one counter from the report's metric snapshot (0 if
-// absent).
-func (r *Report) CounterValue(name string) int64 {
-	if r.Metrics == nil {
-		return 0
-	}
-	return r.Metrics.Counters[name]
-}
-
-// CountersWithPrefix sums every counter whose name (ignoring labels) equals
-// base, returning the per-name breakdown sorted by name.
-func (r *Report) CountersWithPrefix(base string) (total int64, names []string) {
-	if r.Metrics == nil {
-		return 0, nil
-	}
-	for n, v := range r.Metrics.Counters {
-		if baseName(n) == base {
-			total += v
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return total, names
 }

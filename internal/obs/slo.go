@@ -18,41 +18,17 @@ import (
 // this many rotating buckets, so expiry granularity is width/sloBuckets.
 const sloBuckets = 30
 
-// SLOConfig parameterizes a tracker. Zero values select the defaults.
-type SLOConfig struct {
-	// Objective is the target good ratio, e.g. 0.99. Default 0.99.
-	Objective float64
-	// FastWindow and SlowWindow are the two burn windows. Defaults 1m / 10m.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn and SlowBurn are the breach thresholds per window. Defaults
-	// 14.4 and 6 (the classic page-severity pair, scaled to the windows).
-	FastBurn, SlowBurn float64
-	// MinSamples is the slow-window event count below which Breaching is
-	// always false. Default 20.
-	MinSamples int64
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.99
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 10 * time.Minute
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	return c
-}
+// The SLO's fixed parameters: a 99% good-ratio objective, 1 m and 10 m burn
+// windows with the classic page-severity thresholds (14.4 and 6) scaled to
+// them, and a slow-window sample count below which it never breaches.
+const (
+	sloObjective  = 0.99
+	sloFastWindow = time.Minute
+	sloSlowWindow = 10 * time.Minute
+	sloFastBurn   = 14.4
+	sloSlowBurn   = 6
+	sloMinSamples = 20
+)
 
 // sloWindow is one rotating-bucket counting window.
 type sloWindow struct {
@@ -107,7 +83,6 @@ func (w *sloWindow) totals(now time.Time) (good, bad int64) {
 // (slo_burn_rate{slo=...,window=fast|slow} and slo_breaching{slo=...}).
 // Safe for concurrent use; the clock is injectable for deterministic tests.
 type SLOTracker struct {
-	cfg   SLOConfig
 	clock Clock
 
 	mu   sync.Mutex
@@ -121,16 +96,14 @@ type SLOTracker struct {
 
 // NewSLOTracker builds a tracker named name (the gauge label). clock may be
 // nil for wall time.
-func NewSLOTracker(name string, cfg SLOConfig, clock Clock) *SLOTracker {
-	cfg = cfg.withDefaults()
+func NewSLOTracker(name string, clock Clock) *SLOTracker {
 	if clock == nil {
 		clock = time.Now
 	}
 	return &SLOTracker{
-		cfg:     cfg,
 		clock:   clock,
-		fast:    newSLOWindow(cfg.FastWindow),
-		slow:    newSLOWindow(cfg.SlowWindow),
+		fast:    newSLOWindow(sloFastWindow),
+		slow:    newSLOWindow(sloSlowWindow),
 		gFast:   GetGauge(Name("slo_burn_rate", "slo", name, "window", "fast")),
 		gSlow:   GetGauge(Name("slo_burn_rate", "slo", name, "window", "slow")),
 		gBreach: GetGauge(Name("slo_breaching", "slo", name)),
@@ -172,13 +145,11 @@ func (s *SLOTracker) Breaching() bool {
 }
 
 func (s *SLOTracker) ratesLocked(now time.Time) (fast, slow float64, breach bool) {
-	budget := 1 - s.cfg.Objective
 	fg, fb := s.fast.totals(now)
 	sg, sb := s.slow.totals(now)
-	fast = burnRate(fg, fb, budget)
-	slow = burnRate(sg, sb, budget)
-	breach = sg+sb >= s.cfg.MinSamples &&
-		fast >= s.cfg.FastBurn && slow >= s.cfg.SlowBurn
+	fast = burnRate(fg, fb)
+	slow = burnRate(sg, sb)
+	breach = sg+sb >= sloMinSamples && fast >= sloFastBurn && slow >= sloSlowBurn
 	return fast, slow, breach
 }
 
@@ -192,10 +163,10 @@ func (s *SLOTracker) publish(fast, slow float64, breach bool) {
 	}
 }
 
-func burnRate(good, bad int64, budget float64) float64 {
+func burnRate(good, bad int64) float64 {
 	total := good + bad
-	if total == 0 || budget <= 0 {
+	if total == 0 {
 		return 0
 	}
-	return (float64(bad) / float64(total)) / budget
+	return (float64(bad) / float64(total)) / (1 - sloObjective)
 }

@@ -13,13 +13,13 @@ type manualClock struct{ now time.Time }
 func (c *manualClock) Now() time.Time          { return c.now }
 func (c *manualClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
-func newSLOTest(cfg SLOConfig) (*SLOTracker, *manualClock) {
+func newSLOTest() (*SLOTracker, *manualClock) {
 	c := &manualClock{now: time.Unix(0, 0).UTC()}
-	return NewSLOTracker("test", cfg, c.Now), c
+	return NewSLOTracker("test", c.Now), c
 }
 
 func TestSLOBurnRateMath(t *testing.T) {
-	s, clock := newSLOTest(SLOConfig{Objective: 0.99})
+	s, clock := newSLOTest()
 	// 99 good + 1 bad at a 1% budget burns at exactly 1.0 in both windows.
 	for i := 0; i < 99; i++ {
 		s.Observe(true)
@@ -36,15 +36,15 @@ func TestSLOBurnRateMath(t *testing.T) {
 }
 
 func TestSLOBreachNeedsMinSamples(t *testing.T) {
-	s, clock := newSLOTest(SLOConfig{Objective: 0.99, MinSamples: 20})
+	s, clock := newSLOTest()
 	// All-bad burns at 100x budget — far past both thresholds — but stays
-	// non-breaching until the slow window holds MinSamples events.
+	// non-breaching until the slow window holds sloMinSamples events.
 	for i := 0; i < 19; i++ {
 		s.Observe(false)
 		clock.Advance(time.Millisecond)
 	}
 	if s.Breaching() {
-		t.Fatal("breached below MinSamples")
+		t.Fatal("breached below sloMinSamples")
 	}
 	s.Observe(false)
 	if !s.Breaching() {
@@ -57,7 +57,7 @@ func TestSLOBreachNeedsMinSamples(t *testing.T) {
 }
 
 func TestSLOBreachNeedsBothWindows(t *testing.T) {
-	s, clock := newSLOTest(SLOConfig{Objective: 0.99, MinSamples: 20})
+	s, clock := newSLOTest()
 	// Pad the slow window with 2000 good events over 5 minutes, let the fast
 	// window drain for 2, then burst 30 bad: the fast window is all-bad (burn
 	// 100) while the slow window's ratio (30/2030) burns under 1.5 — a blip,
@@ -84,7 +84,7 @@ func TestSLOBreachNeedsBothWindows(t *testing.T) {
 }
 
 func TestSLOWindowExpiry(t *testing.T) {
-	s, clock := newSLOTest(SLOConfig{Objective: 0.99, MinSamples: 20})
+	s, clock := newSLOTest()
 	for i := 0; i < 40; i++ {
 		s.Observe(false)
 		clock.Advance(time.Millisecond)
@@ -105,16 +105,11 @@ func TestSLOWindowExpiry(t *testing.T) {
 }
 
 func TestSLODefaultsAndGauges(t *testing.T) {
-	cfg := SLOConfig{}.withDefaults()
-	if cfg.Objective != 0.99 || cfg.FastWindow != time.Minute || cfg.SlowWindow != 10*time.Minute ||
-		cfg.FastBurn != 14.4 || cfg.SlowBurn != 6 || cfg.MinSamples != 20 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	s, _ := newSLOTest(SLOConfig{Objective: 0.5})
+	s, _ := newSLOTest()
 	s.Observe(false)
 	// The tracker publishes its burn rates as package-level gauges.
 	g := GetGauge(Name("slo_burn_rate", "slo", "test", "window", "fast"))
-	if g.Value() != 2 { // bad ratio 1.0 over budget 0.5
-		t.Fatalf("fast gauge = %v, want 2", g.Value())
+	if math.Abs(g.Value()-100) > 1e-9 { // bad ratio 1.0 over budget 0.01
+		t.Fatalf("fast gauge = %v, want 100", g.Value())
 	}
 }

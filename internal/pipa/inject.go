@@ -56,20 +56,15 @@ func (st *StressTester) Segments(pref *Preference) (top, mid, low []string) {
 	return top, mid, low
 }
 
-// Inject implements Algorithm 2: it generates the toxic injection workload
-// TW. Each query targets columns sampled from the mid-ranked segment and is
-// kept only if it (1) is optimized by indexes on those columns and (2) is
-// not optimized by an index on the top-ranked column — so retraining demotes
-// the advisor's best columns and promotes mid-ranked ones, trapping it in a
-// local optimum (§5).
-func (st *StressTester) Inject(ctx context.Context, pref *Preference) *workload.Workload {
-	return st.InjectN(ctx, pref, st.Cfg.Na)
-}
-
-// InjectN is Inject with an explicit injection size. Injectors use it rather
-// than temporarily rewriting Cfg.Na, which would race when experiment cells
-// share a stress tester across worker goroutines. Cancelling ctx stops
-// generation and returns the injection built so far.
+// InjectN implements Algorithm 2: it generates a toxic injection workload TW
+// of na queries. Each query targets columns sampled from the mid-ranked
+// segment and is kept only if it (1) is optimized by indexes on those columns
+// and (2) is not optimized by an index on the top-ranked column — so
+// retraining demotes the advisor's best columns and promotes mid-ranked ones,
+// trapping it in a local optimum (§5). The size is an argument rather than
+// Cfg.Na rewritten in place, which would race when experiment cells share a
+// stress tester across worker goroutines. Cancelling ctx stops generation
+// and returns the injection built so far.
 func (st *StressTester) InjectN(ctx context.Context, pref *Preference, na int) *workload.Workload {
 	_, span := obs.StartSpanCtx(ctx, "pipa.inject")
 	defer span.End()

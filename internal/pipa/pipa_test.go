@@ -138,7 +138,7 @@ func TestInjectFiltersTopColumn(t *testing.T) {
 	ia := fastAdvisor(t, env, "DQN-b")
 	ia.Train(nw)
 	pref := st.Probe(context.Background(), ia)
-	tw := st.Inject(context.Background(), pref)
+	tw := st.InjectN(context.Background(), pref, st.Cfg.Na)
 	if tw.Len() == 0 {
 		t.Fatal("empty toxic workload")
 	}

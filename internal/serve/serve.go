@@ -361,7 +361,7 @@ func NewServer(cfg Config) (*Server, error) {
 		admission:   par.NewLimiter("serve_admission", cfg.QueueDepth),
 		breaker:     fault.NewBreaker(cfg.BreakerThreshold, breakerCooldown, nil),
 		flight:      cfg.Flight,
-		slo:         obs.NewSLOTracker("serve_availability", obs.SLOConfig{}, cfg.Clock),
+		slo:         obs.NewSLOTracker("serve_availability", cfg.Clock),
 		logger:      cfg.Logger,
 		updates:     make(chan *updateJob, cfg.UpdateQueue),
 		stopTrainer: make(chan struct{}),

@@ -319,18 +319,6 @@ func (q *Query) PredicatesOn(table string) []Predicate {
 	return out
 }
 
-// JoinsOn returns the join conditions that involve the given table.
-func (q *Query) JoinsOn(table string) []Join {
-	prefix := table + "."
-	var out []Join
-	for _, j := range q.Joins {
-		if strings.HasPrefix(j.Left, prefix) || strings.HasPrefix(j.Right, prefix) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the query.
 func (q *Query) Clone() *Query {
 	c := &Query{

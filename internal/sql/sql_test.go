@@ -199,11 +199,8 @@ func TestPredicatesOnAndJoinsOn(t *testing.T) {
 	if got := q.PredicatesOn("orders"); len(got) != 1 || got[0].Column != "orders.o_totalprice" {
 		t.Errorf("PredicatesOn(orders) = %v", got)
 	}
-	if got := q.JoinsOn("lineitem"); len(got) != 1 {
-		t.Errorf("JoinsOn(lineitem) = %v", got)
-	}
-	if got := q.JoinsOn("region"); len(got) != 0 {
-		t.Errorf("JoinsOn(region) = %v", got)
+	if len(q.Joins) != 1 || q.Joins[0].Left != "orders.o_orderkey" || q.Joins[0].Right != "lineitem.l_orderkey" {
+		t.Errorf("Joins = %v, want the one orders–lineitem join", q.Joins)
 	}
 }
 

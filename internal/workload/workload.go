@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -58,7 +59,9 @@ func (w *Workload) Clone() *Workload {
 	}
 }
 
-// Columns returns the distinct sargable columns across all queries.
+// Columns returns the distinct sargable columns across all queries, sorted,
+// so callers that enumerate candidates from them visit the same order on
+// every run.
 func (w *Workload) Columns() []string {
 	set := make(map[string]bool)
 	for _, q := range w.Queries {
@@ -70,6 +73,7 @@ func (w *Workload) Columns() []string {
 	for c := range set {
 		out = append(out, c)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/catalog"
@@ -136,6 +138,35 @@ func TestWorkloadColumns(t *testing.T) {
 	cols := w.Columns()
 	if len(cols) != 2 {
 		t.Fatalf("Columns = %v", cols)
+	}
+}
+
+// TestWorkloadColumnsSorted pins Columns' order: sorted and the same on
+// every call, however the distinct-column set is gathered.
+func TestWorkloadColumnsSorted(t *testing.T) {
+	s := catalog.TPCH(1)
+	w := &Workload{}
+	for _, text := range []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_partkey = 3 AND l_quantity > 5",
+		"SELECT COUNT(*) FROM orders WHERE o_custkey < 500 AND o_totalprice > 10",
+		"SELECT COUNT(*) FROM part WHERE p_size = 4 AND p_brand = 'Brand#12'",
+		"SELECT COUNT(*) FROM customer WHERE c_nationkey = 7 AND c_acctbal > 0",
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate < '1995-01-01' AND l_discount > 0.05",
+	} {
+		q, err := sql.ParseResolved(text, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Add(q, 1)
+	}
+	first := w.Columns()
+	if len(first) < 8 || !sort.StringsAreSorted(first) {
+		t.Fatalf("Columns = %v, want at least 8 sorted columns", first)
+	}
+	for i := 0; i < 50; i++ {
+		if got := w.Columns(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d: Columns = %v, want %v", i, got, first)
+		}
 	}
 }
 
