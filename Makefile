@@ -61,13 +61,16 @@ attackzoo:
 
 # goldens reruns the Fig. 1 motivation, the Fig. 7 grid, the Fig. 8 case
 # studies, the attack zoo over DBAbandit-b and Heuristic, the Fig. 10, 11 and
-# 12 sweeps and the Table 3 generator comparison, and compares their stdout,
-# cache-stats trailer included, byte for byte with the committed
-# results_fig1.txt, results_fig7_tpch1.txt, results_fig8.txt,
-# results_attackzoo.txt, results_fig10.txt, results_fig11.txt,
-# results_fig12.txt and results_table3.txt. All of them print the same bytes
-# at any -workers. About 2 s, 36 s, 5 s, 24 s, 11 s, 12 s, 8 s and 1 s on
-# 2 vCPUs.
+# 12 sweeps, the Table 3 generator comparison, the guardsweep over DBAbandit-b
+# and the defensesweep over DBAbandit-b and Heuristic at the default index
+# budget and at -index-budget 8, and compares their stdout, cache-stats
+# trailer included, byte for byte with the committed results_fig1.txt,
+# results_fig7_tpch1.txt, results_fig8.txt, results_attackzoo.txt,
+# results_fig10.txt, results_fig11.txt, results_fig12.txt,
+# results_table3.txt, results_guardsweep.txt, results_defensesweep.txt and
+# results_defensesweep_b8.txt. All of them print the same bytes at any
+# -workers. About 2 s, 36 s, 5 s, 24 s, 11 s, 12 s, 8 s, 1 s, 1 s, 5 s and
+# 12 s on 2 vCPUs.
 goldens:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/pipa-bench" ./cmd/pipa-bench; \
@@ -78,7 +81,14 @@ goldens:
 	cmp "$$tmp/attackzoo.txt" results_attackzoo.txt; \
 	for e in fig10 fig11 fig12 table3; do \
 		"$$tmp/pipa-bench" -exp $$e > "$$tmp/$$e.txt"; cmp "$$tmp/$$e.txt" results_$$e.txt; \
-	done
+	done; \
+	"$$tmp/pipa-bench" -exp guardsweep -advisors DBAbandit-b > "$$tmp/guardsweep.txt"; \
+	cmp "$$tmp/guardsweep.txt" results_guardsweep.txt; \
+	"$$tmp/pipa-bench" -exp defensesweep -advisors DBAbandit-b,Heuristic > "$$tmp/defensesweep.txt"; \
+	cmp "$$tmp/defensesweep.txt" results_defensesweep.txt; \
+	"$$tmp/pipa-bench" -exp defensesweep -advisors Heuristic,DBAbandit-b -index-budget 8 \
+		> "$$tmp/defensesweep_b8.txt"; \
+	cmp "$$tmp/defensesweep_b8.txt" results_defensesweep_b8.txt
 
 # serve runs the serving-daemon suite under -race: admission control, the
 # degradation ladder, hot model swap, live rollback under load, the 2×

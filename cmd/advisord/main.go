@@ -135,9 +135,8 @@ func main() {
 	}
 
 	// Restore a persisted model if one exists; otherwise train from scratch.
-	// ResumeLive (not TryRestore): a daemon's future updates are new work,
-	// not a replay of the checkpoint's history.
-	restored, err := trainer.ResumeLive()
+	// Updates after a restore are new attempts on the restored model.
+	restored, err := trainer.TryRestore()
 	if err != nil {
 		fail(err)
 	}

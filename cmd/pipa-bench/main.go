@@ -60,7 +60,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel experiment cells (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	advisors := flag.String("advisors", strings.Join(registry.PaperAdvisors, ","), "comma-separated advisor list for fig7/table1")
 	guardBudget := flag.Float64("guard-budget", 0.02, "canary regression budget of every guarded arm (guardsweep, defensesweep, attackzoo)")
-	modelDir := flag.String("model-dir", "", "persist the guard arm's last committed snapshot (canary gate, no screener) per cell under this directory, so guardsweep, defensesweep and attackzoo resume mid-cell from it; screened arms do not persist")
 	injectors := flag.String("injectors", "", "comma-separated attack-zoo injector list for -exp attackzoo (default: the full registry)")
 	attack := flag.String("attack", "", "attack-zoo injector the guardsweep/faultsweep ladders run instead of PIPA")
 	indexBudget := flag.Int("index-budget", 0, "override the advisors' index budget B (0 = the scale's default; the paper uses 4)")
@@ -153,7 +152,6 @@ func main() {
 	setup.FaultRate = *faults
 	setup.FaultSeed = *faultSeed
 	setup.GuardBudget = *guardBudget
-	setup.ModelDir = *modelDir
 	setup.Attack = *attack
 	if *indexBudget > 0 {
 		setup.AdvCfg.Budget = *indexBudget

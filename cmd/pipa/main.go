@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
@@ -57,7 +56,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-run details")
 	guardOn := flag.Bool("guard", false, "gate the victim's retrain behind a canary evaluation with automatic rollback (internal/guard)")
 	guardBudget := flag.Float64("guard-budget", 0.02, "canary regression budget for -guard; updates regressing past it are rolled back")
-	modelDir := flag.String("model-dir", "", "persist each guarded run's last committed snapshot under this directory (crash-safe; restarts resume from it)")
 	faults := flag.Float64("faults", 0, "fault rate degrading the attacker's cost oracle (0 disables the chaos layer)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for every fault decision; fixed seed = byte-identical faults at any -workers")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this file and resume from it on restart")
@@ -145,7 +143,9 @@ func main() {
 
 	// Runs are independent (each derives its RNGs from the run index), so
 	// they fan out through a pool and print in run order afterwards. Each is
-	// journaled under runKey.
+	// journaled under setup.CellKey(runName(…)), which names every setting
+	// the run reads, so a checkpoint written under another benchmark, scale,
+	// guard or fault configuration recomputes instead of replaying its runs.
 	results, err := par.MapCtx(obs.ContextWithSpan(ctx, tr.Root()), par.New("pipa_runs", *workers), *runs, func(ctx context.Context, run int) (runCell, error) {
 		return experiments.Journaled(setup, runName(*advisorName, *injector, *guardOn, *faults, run), func() (runCell, error) {
 			var c runCell
@@ -169,19 +169,12 @@ func main() {
 			victim := ia
 			var gt *guard.Trainer
 			if *guardOn {
-				gcfg := guard.Config{
+				gt, err = guard.NewTrainer(ia, guard.Config{
 					Budget: setup.GuardBudget,
 					Canary: setup.CanaryWorkload(run),
 					Eval:   setup.WhatIf,
-				}
-				if *modelDir != "" {
-					gcfg.ModelDir = runModelDir(*modelDir, runKey(setup, *advisorName, *injector, *guardOn, *faults, run))
-				}
-				gt, err = guard.NewTrainer(ia, gcfg)
+				})
 				if err != nil {
-					return c, err
-				}
-				if _, err := gt.TryRestore(); err != nil {
 					return c, err
 				}
 				victim = gt
@@ -268,23 +261,7 @@ func main() {
 }
 
 // runName names one run's coordinates: the journal cell experiments.Journaled
-// files the run under, keyed by runKey.
+// files the run under.
 func runName(advisorName, injector string, guard bool, faults float64, run int) string {
 	return fmt.Sprintf("pipa/%s/%s/guard=%t/faults=%g/run=%d", advisorName, injector, guard, faults, run)
-}
-
-// runKey is the journal key of one run. It names the run's coordinates and,
-// through Setup.CellKey, every setting the run reads, so a checkpoint written
-// under another benchmark, scale, guard or fault configuration recomputes
-// instead of replaying its runs under the new header.
-func runKey(setup *experiments.Setup, advisorName, injector string, guard bool, faults float64, run int) string {
-	return setup.CellKey(runName(advisorName, injector, guard, faults, run))
-}
-
-// runModelDir is the -model-dir directory of the run with journal key key.
-// It is named after the key, as the defended timelines name theirs, so a
-// rerun under another configuration starts from scratch instead of
-// restoring the other configuration's model.
-func runModelDir(root, key string) string {
-	return filepath.Join(root, strings.ReplaceAll(key, "/", "_"))
 }

@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -40,27 +41,32 @@ type Journal struct {
 
 // OpenJournal opens (or creates) the checkpoint file and loads every
 // previously completed cell. A trailing partial line — the signature of a
-// crash mid-write — is ignored, not an error.
+// crash mid-write — is ignored, not an error, and cut off the file, so the
+// next record starts a line of its own.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: open journal: %w", err)
 	}
-	j := &Journal{f: f, done: make(map[string]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue // torn tail from a crash mid-append
-		}
-		j.done[e.Key] = e.Val
-	}
-	if err := sc.Err(); err != nil {
+	data, err := io.ReadAll(f)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("experiments: read journal: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	j := &Journal{f: f, done: make(map[string]json.RawMessage)}
+	end := bytes.LastIndexByte(data, '\n') + 1
+	for _, line := range bytes.Split(data[:end], []byte{'\n'}) {
+		var e journalEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			continue // the empty tail after the last newline, or a damaged line
+		}
+		j.done[e.Key] = e.Val
+	}
+	if err := f.Truncate(int64(end)); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("experiments: truncate journal: %w", err)
+	}
+	if _, err := f.Seek(int64(end), io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}

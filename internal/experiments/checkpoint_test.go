@@ -66,7 +66,6 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail should not fail open: %v", err)
 	}
-	defer j2.Close()
 	var v int
 	if !j2.Lookup("good", &v) || v != 42 {
 		t.Fatalf("intact record lost: %v %d", j2.Lookup("good", &v), v)
@@ -74,9 +73,23 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if j2.Lookup("torn", &v) {
 		t.Fatal("torn record resurrected")
 	}
-	// The journal must still accept appends after a torn tail.
+	// The journal must still accept appends after a torn tail, and a
+	// reopen must find them: the torn fragment is cut, not glued onto.
 	if err := j2.Record("after", 7); err != nil {
 		t.Fatal(err)
+	}
+	j2.Close()
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	var after int
+	if !j3.Lookup("after", &after) || after != 7 {
+		t.Fatalf("record appended after a torn tail lost on reopen: %d", after)
+	}
+	if !j3.Lookup("good", &v) || v != 42 {
+		t.Fatalf("intact record lost on reopen: %d", v)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestArmStrategies(t *testing.T) {
 			t.Errorf("arm %q has no screener strategy", arm)
 		}
 	}
-	_, err := tinySetup.runCell(context.Background(), tinySetup.Tester(), []string{"bogus"}, "Heuristic", "FSM", 0, 0, 1, "test/bogus")
+	_, err := tinySetup.runCell(context.Background(), tinySetup.Tester(), []string{"bogus"}, "Heuristic", "FSM", 0, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), `unknown defense arm "bogus"`) {
 		t.Fatalf("runCell with an unknown arm: err = %v", err)
 	}

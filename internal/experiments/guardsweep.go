@@ -24,9 +24,7 @@ func GuardRates() []float64 { return []float64{0, 0.25, 0.5, 1} }
 // guard.Trainer's canary gate (held-out trusted workload, clean oracle) with
 // automatic rollback, quarantine and freeze. Its rows therefore equal the
 // unguarded/guard arms of RunDefenseSweep and RunAttackZoo for the same
-// attack by construction. Cells journal for kill-and-resume, and with
-// ModelDir set the guard arm additionally checkpoints its last committed
-// model so even a mid-cell kill resumes from the last good state.
+// attack by construction. Cells journal for kill-and-resume.
 //
 // The guarded victim deliberately runs without a pre-update sanitizer: the
 // sweep isolates what canary gating alone buys, and the sanitizer's

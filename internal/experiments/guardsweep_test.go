@@ -72,38 +72,6 @@ func TestGuardSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGuardSweepModelDirResume: a rerun of the sweep over an existing
-// -model-dir restores every guarded trainer from its last committed snapshot
-// and replays the timeline, and must reproduce the from-scratch result
-// byte-identically (the mid-cell half of the kill-and-resume criterion; the
-// cell-level half is the journal, covered by the faultsweep test).
-func TestGuardSweepModelDirResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment driver")
-	}
-	rates := []float64{0, 1}
-	dir := t.TempDir()
-	var runs []string
-	for i := 0; i < 2; i++ {
-		s := *tinySetup
-		s.Workers = 2
-		s.Runs = 1
-		s.ModelDir = dir
-		r, err := RunGuardSweep(context.Background(), &s, "DBAbandit-b", rates)
-		if err != nil {
-			t.Fatalf("pass %d: %v", i, err)
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, string(b))
-	}
-	if runs[0] != runs[1] {
-		t.Errorf("model-dir resume diverges:\n got %s\nwant %s", runs[1], runs[0])
-	}
-}
-
 // TestJournalKeyNamesConfig: a journal written under one guard budget must
 // not replay into a run under another. Rerunning a guardsweep on the same
 // journal with a different GuardBudget has to reproduce a fresh run at that

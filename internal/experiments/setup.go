@@ -75,12 +75,6 @@ type Setup struct {
 	GuardBudget float64
 	GuardEpochs int
 
-	// ModelDir, when non-empty, is where the guard arm (canary gate, no
-	// screener) of every defended-timeline sweep persists its last committed
-	// snapshot, one subdirectory per cell, so a killed run resumes mid-cell
-	// from the last good model. Screened arms do not persist.
-	ModelDir string
-
 	// Journal, when non-nil, checkpoints completed experiment cells so a
 	// cancelled grid resumes without recomputing them.
 	Journal *Journal
@@ -104,8 +98,8 @@ func (s *Setup) AttackName() string {
 // CellKey is the journal key of one experiment cell: its coordinates plus a
 // digest of every Setup setting a cell reads — benchmark and scale budgets
 // (Name, WorkloadN, AdvCfg including the index budget, PipaCfg), seeds,
-// guard budget and epochs, attack and fault seed — so a journal or model dir
-// written under other settings recomputes instead of replaying stale cells.
+// guard budget and epochs, attack and fault seed — so a journal written
+// under other settings recomputes instead of replaying stale cells.
 // Every journal key goes through it, cmd/pipa's per-run keys included.
 func (s *Setup) CellKey(cell string) string {
 	adv := s.AdvCfg

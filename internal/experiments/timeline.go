@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/advisor"
 	"repro/internal/defense"
@@ -124,7 +122,7 @@ func (s *Setup) runTimeline(ctx context.Context, sw timelineSweep, advisorName s
 				// Trim seeds mix the cell coordinates so no two cells share
 				// a subset stream, yet reruns of a cell are exact.
 				seed := s.Seed*1_000_003 + sw.seedOffset + int64(ii)*900_001 + int64(sw.rates[ri]*1000)*9_001 + int64(run)
-				return s.runCell(ctx, st, sw.arms, advisorName, sw.injectors[ii], sw.rates[ri], run, seed, cell)
+				return s.runCell(ctx, st, sw.arms, advisorName, sw.injectors[ii], sw.rates[ri], run, seed)
 			})
 		})
 	if err != nil {
@@ -165,7 +163,7 @@ func (s *Setup) runTimeline(ctx context.Context, sw timelineSweep, advisorName s
 // injection — and grades each arm's AD against the base. Every RNG derives
 // from the cell coordinates and the cell owns its advisors, trainers and
 // screeners, so results are byte-identical at any Workers width.
-func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []string, advisorName, injName string, rate float64, run int, seed int64, cell string) (timelineCell, error) {
+func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []string, advisorName, injName string, rate float64, run int, seed int64) (timelineCell, error) {
 	c := timelineCell{Arms: make(map[string]armCell, len(arms))}
 	w := s.NormalWorkload(run)
 	canary := s.CanaryWorkload(run)
@@ -179,9 +177,8 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 
 	// fork clones the base and wraps the clone in the arm's defense. The
 	// guarded arms (guard, stacked) hand their screener to guard.Trainer,
-	// which stamps source on its quarantine entries and, with modelDir set,
-	// persists every commit there and resumes from it.
-	fork := func(arm string, trimSeed int64, modelDir, source string) (*armDefense, error) {
+	// which stamps source on its quarantine entries.
+	fork := func(arm string, trimSeed int64, source string) (*armDefense, error) {
 		victim := base.(advisor.Cloner).CloneAdvisor()
 		d := &armDefense{victim: victim}
 		strategy, ok := armStrategies[arm]
@@ -201,13 +198,12 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 			return d, nil
 		}
 		if d.gt, err = guard.NewTrainer(victim, guard.Config{
-			Budget: s.GuardBudget, Canary: canary, Eval: s.WhatIf, Screener: screener, ModelDir: modelDir,
+			Budget: s.GuardBudget, Canary: canary, Eval: s.WhatIf, Screener: screener,
 		}); err != nil {
 			return nil, err
 		}
 		d.gt.SetProvenance(source)
-		_, err = d.gt.TryRestore()
-		return d, err
+		return d, nil
 	}
 
 	var fixedToxic *workload.Workload
@@ -217,13 +213,7 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 
 	for _, arm := range arms {
 		var a armCell
-		// Only the unscreened guard arm checkpoints: a screened arm's drop
-		// count lives outside the guard checkpoint, so it could not resume.
-		modelDir := ""
-		if arm == "guard" && s.ModelDir != "" {
-			modelDir = filepath.Join(s.ModelDir, strings.ReplaceAll(s.CellKey(cell), "/", "_"))
-		}
-		d, err := fork(arm, seed, modelDir, injName)
+		d, err := fork(arm, seed, injName)
 		if err != nil {
 			return c, err
 		}
@@ -241,7 +231,7 @@ func (s *Setup) runCell(ctx context.Context, st *pipa.StressTester, arms []strin
 				inj := pipa.AdaptInjector{Tester: st}
 				var o *countingOracle
 				if arm != "unguarded" {
-					sac, err := fork(arm, seed+500_000, "", "ADAPT-probe")
+					sac, err := fork(arm, seed+500_000, "ADAPT-probe")
 					if err != nil {
 						return c, err
 					}

@@ -35,7 +35,7 @@ func TestRunCellWorkRepeats(t *testing.T) {
 			run := func() work {
 				s := NewSetup("tpch", 1, ScaleTiny)
 				before := obs.Default.Metrics.Snapshot().Counters
-				c, err := s.runCell(context.Background(), s.Tester(), tc.arms, "Heuristic", s.AttackName(), 1, 0, 7, "test/"+tc.name)
+				c, err := s.runCell(context.Background(), s.Tester(), tc.arms, "Heuristic", s.AttackName(), 1, 0, 7)
 				if err != nil {
 					t.Fatal(err)
 				}

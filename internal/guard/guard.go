@@ -10,7 +10,7 @@
 // whether updates are re-admitted.
 //
 // Unlike fault.Breaker, the guard's cooldown is counted in update attempts,
-// not wall time: experiment replays must be deterministic at any worker
+// not wall time: experiment reruns must be deterministic at any worker
 // count, and the poisoning timeline has no meaningful clock.
 package guard
 
@@ -77,9 +77,6 @@ const (
 	Frozen
 	// Screened: the screener dropped the entire batch; nothing to train on.
 	Screened
-	// Replayed: the attempt predates the restored checkpoint and was skipped
-	// (its effect is already part of the restored state).
-	Replayed
 )
 
 // String names the outcome.
@@ -93,8 +90,6 @@ func (o Outcome) String() string {
 		return "frozen"
 	case Screened:
 		return "screened"
-	case Replayed:
-		return "replayed"
 	default:
 		return "unknown"
 	}
@@ -103,7 +98,7 @@ func (o Outcome) String() string {
 // Stats are the trainer's cumulative counters. They are part of the
 // persisted checkpoint, so a resumed run continues them exactly.
 type Stats struct {
-	Attempts       uint64  // Retrain attempts seen (excluding replayed ones)
+	Attempts       uint64  // Retrain attempts seen
 	Commits        uint64  // updates that passed the canary gate
 	Rollbacks      uint64  // updates undone by the canary gate
 	Frozen         uint64  // updates rejected while the guard was Open
@@ -120,7 +115,7 @@ const (
 	// guard Open.
 	tripThreshold = 3
 	// cooldownAttempts is how many update attempts stay frozen after a trip
-	// before the half-open probe. Counted in attempts, not time, so replays
+	// before the half-open probe. Counted in attempts, not time, so reruns
 	// are deterministic.
 	cooldownAttempts = 2
 	// quarantineCap bounds the quarantine buffer.
@@ -171,9 +166,6 @@ type Trainer struct {
 	anchored     bool
 	canaryBase   float64
 	canaryCoster *cost.WorkloadCoster // delta session over the fixed canary workload
-
-	calls      uint64 // live Retrain calls, including replayed ones
-	resumeSkip uint64 // calls to skip after TryRestore
 
 	quarantine *Quarantine
 	provenance string // source tag stamped on quarantine entries
@@ -239,9 +231,9 @@ func (t *Trainer) ScreenStrategy() string {
 	return t.cfg.Screener.Name()
 }
 
-// LastScreenReport returns the screening report of the most recent live
-// Retrain attempt, or nil when no screener ran (no screener configured, a
-// frozen update, or a replayed attempt).
+// LastScreenReport returns the screening report of the most recent Retrain
+// attempt, or nil when no screener ran (no screener configured or a frozen
+// update).
 func (t *Trainer) LastScreenReport() *defense.Report { return t.lastReport }
 
 // canaryCost evaluates the wrapped advisor on the canary workload. It
@@ -301,14 +293,6 @@ func (t *Trainer) RetrainCtx(ctx context.Context, w *workload.Workload) {
 
 // retrain is the transaction body; sp may be nil (untraced).
 func (t *Trainer) retrain(ctx context.Context, sp *obs.TSpan, w *workload.Workload) {
-	t.calls++
-	if t.calls <= t.resumeSkip {
-		// This attempt is part of the restored checkpoint's history: its
-		// commits are in the restored model, its rollbacks had no effect,
-		// and its counters are in the restored stats.
-		t.lastOut = Replayed
-		return
-	}
 	t.stats.Attempts++
 	t.lastReport = nil
 

@@ -109,24 +109,12 @@ func (t *Trainer) Persist() error {
 	return t.persist()
 }
 
-// ResumeLive is TryRestore for serving deployments: it restores the last
-// committed checkpoint but treats subsequent Retrain calls as brand-new
-// update attempts instead of replays of a recorded experiment timeline — a
-// daemon's post-restart traffic is new work, not a re-run of old batches.
-func (t *Trainer) ResumeLive() (bool, error) {
-	ok, err := t.TryRestore()
-	if ok {
-		t.resumeSkip = 0
-	}
-	return ok, err
-}
-
 // TryRestore resumes from the last committed checkpoint in ModelDir, if one
-// exists and is intact; it reports whether it restored. After a successful
-// restore the caller must NOT retrain from scratch: replay the original
-// Retrain sequence instead — attempts already covered by the checkpoint are
-// skipped, later ones run live from the restored state, reproducing the
-// uninterrupted run byte-exactly.
+// exists and is intact; it reports whether it restored. Every later Retrain
+// call is a new update attempt on the restored state: a daemon's post-restart
+// traffic is new work. A caller re-running a recorded timeline resumes it by
+// feeding the batches from Stats().Attempts on — the attempts the checkpoint
+// already covers — which reproduces the uninterrupted run byte-exactly.
 //
 // A missing checkpoint is a clean miss (false, nil); a damaged one is an
 // error, so silent divergence from a torn file is impossible.
@@ -181,8 +169,6 @@ func (t *Trainer) TryRestore() (bool, error) {
 	t.state = Closed
 	t.consec = 0
 	t.frozenLeft = 0
-	t.calls = 0
-	t.resumeSkip = st.Attempts
 	return true, nil
 }
 

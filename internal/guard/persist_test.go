@@ -14,7 +14,7 @@ import (
 )
 
 // stateCanary is a canary hook that is a pure function of the stub's state,
-// so a restored-and-replayed run reproduces the exact canary sequence of an
+// so a restored-and-resumed run reproduces the exact canary sequence of an
 // uninterrupted one without any external script position to resync.
 func stateCanary(s *stubAdvisor) func(advisor.Advisor) float64 {
 	return func(advisor.Advisor) float64 { return 100 + s.param }
@@ -242,7 +242,7 @@ func captureFinal(t *testing.T, tr *Trainer) finalState {
 		stats: tr.Stats(), quarantine: tr.Quarantine().Entries()}
 }
 
-func TestPersistRestoreReplayDeterminism(t *testing.T) {
+func TestPersistRestoreResumeDeterminism(t *testing.T) {
 	run := func(dir string) *Trainer {
 		stub := &stubAdvisor{}
 		tr, err := NewTrainer(stub, Config{Budget: 0.05, ModelDir: dir, CanaryCost: stateCanary(stub)})
@@ -274,7 +274,8 @@ func TestPersistRestoreReplayDeterminism(t *testing.T) {
 	tr1.Retrain(batch(t, persistTimeline[0]))
 	tr1.Retrain(batch(t, persistTimeline[1]))
 
-	// …then resume into a fresh trainer and replay the whole timeline.
+	// …then resume into a fresh trainer and feed it the rest of the
+	// timeline: the batches from the restored attempt count on.
 	stub2 := &stubAdvisor{}
 	tr2, err := NewTrainer(stub2, Config{Budget: 0.05, ModelDir: dirB, CanaryCost: stateCanary(stub2)})
 	if err != nil {
@@ -283,14 +284,12 @@ func TestPersistRestoreReplayDeterminism(t *testing.T) {
 	if ok, err := tr2.TryRestore(); !ok || err != nil {
 		t.Fatalf("TryRestore = %v, %v", ok, err)
 	}
-	for i, n := range persistTimeline {
+	done := tr2.Stats().Attempts
+	if done != 2 {
+		t.Fatalf("restored Attempts = %d, want 2", done)
+	}
+	for _, n := range persistTimeline[done:] {
 		tr2.Retrain(batch(t, n))
-		if i < 2 && tr2.LastOutcome() != Replayed {
-			t.Fatalf("attempt %d outcome = %v, want replayed", i, tr2.LastOutcome())
-		}
-		if i >= 2 && tr2.LastOutcome() == Replayed {
-			t.Fatalf("attempt %d still replayed past the checkpoint", i)
-		}
 	}
 
 	got := captureFinal(t, tr2)
@@ -383,9 +382,10 @@ func asExitError(err error, target **exec.ExitError) bool {
 }
 
 // runGuardChild is the subprocess body: restore if a checkpoint exists (never
-// retrain from scratch after a crash), replay the timeline, and in kill mode
-// SIGKILL the process right after the second attempt — past a commit, so the
-// checkpoint is live, but before the rollback attempt.
+// retrain from scratch after a crash), feed the timeline from the restored
+// attempt count on, and in kill mode SIGKILL the process right after the
+// second attempt — past a commit, so the checkpoint is live, but before the
+// rollback attempt.
 func runGuardChild(t *testing.T, dir string, kill bool) {
 	stub := &stubAdvisor{}
 	tr, err := NewTrainer(stub, Config{Budget: 0.05, ModelDir: dir, CanaryCost: stateCanary(stub)})
@@ -399,8 +399,8 @@ func runGuardChild(t *testing.T, dir string, kill bool) {
 	if !restored {
 		tr.Train(batch(t, 1))
 	}
-	for i, n := range persistTimeline {
-		tr.Retrain(batch(t, n))
+	for i := tr.Stats().Attempts; i < uint64(len(persistTimeline)); i++ {
+		tr.Retrain(batch(t, persistTimeline[i]))
 		if kill && i == 1 {
 			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		}

@@ -266,7 +266,7 @@ var traceIDField = regexp.MustCompile(`"trace_id":"[0-9a-f]*"`)
 
 // TestPersistAndResume is the kill-and-resume contract: a committed update
 // persists under ModelDir at commit time, and a fresh daemon over the same
-// directory restores it via ResumeLive and serves the same recommendation
+// directory restores it via TryRestore and serves the same recommendation
 // without retraining.
 func TestPersistAndResume(t *testing.T) {
 	dir := t.TempDir()
@@ -313,12 +313,12 @@ func TestPersistAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := trainer2.ResumeLive()
+	restored, err := trainer2.TryRestore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !restored {
-		t.Fatal("ResumeLive found nothing to restore")
+		t.Fatal("TryRestore found nothing to restore")
 	}
 	srv2, err := NewServer(Config{
 		Trainer:    trainer2,
@@ -356,8 +356,8 @@ func TestPersistAndResume(t *testing.T) {
 		t.Errorf("resumed answer %+v differs from pre-kill %+v", after, before)
 	}
 
-	// And a restored daemon keeps accepting updates (no replay skipping):
-	// the next clean update must commit, not be classified as replayed.
+	// And a restored daemon keeps accepting updates: the next clean update
+	// is a new attempt on the restored model and must commit.
 	code, body = postJSON(t, ts2.URL+"/v1/update", oneQuery)
 	if code != http.StatusOK {
 		t.Fatalf("post-resume update: status %d", code)
@@ -366,6 +366,6 @@ func TestPersistAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ur.Outcome != "committed" {
-		t.Errorf("post-resume update outcome %s, want committed (ResumeLive must not replay-skip)", ur.Outcome)
+		t.Errorf("post-resume update outcome %s, want committed", ur.Outcome)
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test the advisord serving daemon end to end: build, start, wait for
 # readiness, exercise every route, then SIGTERM and assert a clean drain
-# (exit 0). CI runs this on every push; it also works locally:
+# (exit 0), and restart on the same model dir to check the restore path. CI runs this on every push; it also works locally:
 #
 #   ./scripts/smoke_advisord.sh [port]
 #
@@ -34,13 +34,15 @@ go build -o "$BIN" ./cmd/advisord
 PID=$!
 
 # Readiness must flip within 30s (Heuristic trains in milliseconds).
-ready=""
-for _ in $(seq 1 120); do
-    if curl -fsS "${BASE}/readyz" >/dev/null 2>&1; then ready=1; break; fi
-    kill -0 "$PID" 2>/dev/null || fail "daemon died before becoming ready"
-    sleep 0.25
-done
-[ -n "$ready" ] || fail "/readyz never returned 200"
+wait_ready() {
+    for _ in $(seq 1 120); do
+        if curl -fsS "${BASE}/readyz" >/dev/null 2>&1; then return 0; fi
+        kill -0 "$PID" 2>/dev/null || fail "daemon died before becoming ready"
+        sleep 0.25
+    done
+    fail "/readyz never returned 200"
+}
+wait_ready
 
 # Liveness and the API surface.
 curl -fsS "${BASE}/healthz" | grep -q ok || fail "/healthz not ok"
@@ -112,5 +114,21 @@ grep -q '"msg":"drained"' "$JSONL" || fail "log missing the drain line"
 # The forensics report was written on drain and carries the retained traces.
 [ -s "$REPORT" ] || fail "report ${REPORT} empty or missing"
 grep -q '"traces"' "$REPORT" || fail "report missing the flight-recorder traces"
+
+# Restart on the same -model-dir: the daemon restores the drained model
+# instead of training, and a restored daemon keeps committing updates.
+LOG="${DIR}/advisord-restart.log"
+"$BIN" -addr "127.0.0.1:${PORT}" -advisor Heuristic -n 8 -model-dir "${DIR}/models" 2>"$LOG" &
+PID=$!
+wait_ready
+grep -q 'restored model' "$LOG" || fail "restart did not restore the persisted model"
+grep -q 'training from scratch' "$LOG" && fail "restart trained from scratch over a persisted model"
+UPD=$(curl -fsS -X POST "${BASE}/v1/update" \
+    -d '{"queries":["SELECT COUNT(*) FROM orders"]}') \
+    || fail "update after restart failed"
+echo "$UPD" | grep -q '"outcome":"committed"' || fail "update after restart not committed: $UPD"
+kill -TERM "$PID"
+if ! wait "$PID"; then fail "restarted daemon exited non-zero on SIGTERM"; fi
+PID=""
 
 echo "smoke_advisord: OK"
