@@ -511,12 +511,16 @@ func BenchmarkIABARTGenerate(b *testing.B) {
 	s := tinySetup
 	rng := rand.New(rand.NewSource(4))
 	cols := []string{"lineitem.l_suppkey", "orders.o_orderdate"}
+	st0 := s.WhatIf.CacheStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Gen.Generate(cols, 0.5, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
+	st := s.WhatIf.CacheStats()
+	b.ReportMetric(float64(st.Entries-st0.Entries)/float64(b.N), "whatif-entries/op")
+	b.ReportMetric(float64(st.Calls-st0.Calls)/float64(b.N), "whatif-calls/op")
 }
 
 func BenchmarkAdvisorTraining(b *testing.B) {

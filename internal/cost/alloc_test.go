@@ -29,6 +29,22 @@ func TestCacheHitPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestMemoHitPathAllocFree pins a verification memo's repeat lookup at zero
+// allocations: the same fingerprint and interned set key as the shared hit.
+func TestMemoHitPathAllocFree(t *testing.T) {
+	s := catalog.TPCH(1)
+	memo := NewWhatIf(NewModel(s)).NewMemo()
+	q := whatifQuery(t, s, "SELECT COUNT(*) FROM lineitem WHERE l_partkey = 42")
+	idx := []Index{NewIndex("lineitem.l_partkey")}
+	memo.QueryCost(q, idx) // warm the memo + intern tables
+
+	if got := testing.AllocsPerRun(200, func() {
+		memo.QueryCost(q, idx)
+	}); got != 0 {
+		t.Errorf("memo-hit QueryCost allocates %.1f/op, want 0", got)
+	}
+}
+
 // TestCosterAnchorHitAllocFree pins the coster's anchor-equal fast path
 // (re-costing the set it just costed) at zero allocations.
 func TestCosterAnchorHitAllocFree(t *testing.T) {

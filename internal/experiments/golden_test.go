@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -57,6 +59,39 @@ func TestWorkersGoldenDeterminism(t *testing.T) {
 		if gotOmega != goldenOmega {
 			t.Errorf("RunInjectionSize at workers=%d diverges from serial:\n got %s\nwant %s",
 				workers, gotOmega, goldenOmega)
+		}
+	}
+}
+
+// TestCacheStatsIndependentOfWorkers: the goldens' cache-stats trailer must
+// repeat at any -workers. IABART verifies candidates in private memos that
+// never read the shared cache, and publishes accepted queries into it with
+// one counted call per key, so calls, hits, entries and plans cannot depend
+// on which of two concurrent cells publishes a query first.
+func TestCacheStatsIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment driver")
+	}
+	plans := obs.GetCounter("cost_plans_total")
+	type work struct {
+		cache cost.CacheStats
+		plans int64
+	}
+	var want work
+	for i, workers := range []int{1, 2, 4} {
+		s := NewSetup("tpch", 1, ScaleTiny)
+		s.Workers = workers
+		plans0 := plans.Value()
+		if _, err := RunMainResult(context.Background(), s, []string{"DQN-b", "Heuristic"}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := work{s.WhatIf.CacheStats(), plans.Value() - plans0}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("workers=%d: %+v, want the serial run's %+v", workers, got, want)
 		}
 	}
 }

@@ -201,11 +201,17 @@ func (f *FSM) PredicateINWithSelectivity(col *catalog.Column, sel float64, rng *
 	return sql.Predicate{Column: qn, Op: sql.OpIn, Values: vals}
 }
 
+// QueryCoster prices a query under an index set: the shared *cost.WhatIf,
+// or the *cost.Memo IABART verifies its candidates in.
+type QueryCoster interface {
+	QueryCost(q *sql.Query, indexes []cost.Index) float64
+}
+
 // OptimalSingleColumn returns the best single-column index for the query
 // (the column whose index minimizes what-if cost) and the relative reduction
 // it achieves; ok is false when no index improves on the empty
 // configuration — a non-sargable query.
-func OptimalSingleColumn(w *cost.WhatIf, q *sql.Query) (string, float64, bool) {
+func OptimalSingleColumn(w QueryCoster, q *sql.Query) (string, float64, bool) {
 	base := w.QueryCost(q, nil)
 	bestCol, bestCost := "", base
 	for _, c := range q.SargableColumns() {

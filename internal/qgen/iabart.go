@@ -120,6 +120,14 @@ func (g *IABART) Generate(cols []string, rewardTarget float64, rng *rand.Rand) (
 		colSet[c] = true
 	}
 
+	// Candidates are verified in a private memo; only the returned query's
+	// costs reach the shared cache.
+	memo := g.WhatIf.NewMemo()
+	accept := func(q *sql.Query) (*sql.Query, error) {
+		qgenAccepted.Inc()
+		memo.Publish(q)
+		return q, nil
+	}
 	sel := selForTarget(rewardTarget)
 	secSel := math.Min(1, sel*2)
 	var best *sql.Query
@@ -131,20 +139,18 @@ func (g *IABART) Generate(cols []string, rewardTarget float64, rng *rand.Rand) (
 			// compose only emits schema-valid references.
 			panic(fmt.Sprintf("qgen: composed invalid query %q: %v", q, err))
 		}
-		opt, reward, ok := OptimalSingleColumn(g.WhatIf, q)
+		opt, reward, ok := OptimalSingleColumn(memo, q)
 		if ok && colSet[opt] {
 			if !g.Opts.UseLM {
 				// Without Task 1 there is no reward tuning: first hit wins.
-				qgenAccepted.Inc()
-				return q, nil
+				return accept(q)
 			}
 			diff := math.Abs(reward - rewardTarget)
 			if diff < bestDiff {
 				best, bestDiff = q, diff
 			}
 			if diff < 0.03 {
-				qgenAccepted.Inc()
-				return q, nil
+				return accept(q)
 			}
 			// Tune: smaller selectivity ⇒ larger index benefit.
 			if reward < rewardTarget {
@@ -162,8 +168,7 @@ func (g *IABART) Generate(cols []string, rewardTarget float64, rng *rand.Rand) (
 		}
 	}
 	if best != nil {
-		qgenAccepted.Inc()
-		return best, nil
+		return accept(best)
 	}
 	qgenFailures.Inc()
 	return nil, fmt.Errorf("qgen: verification failed for columns %v", cols)
