@@ -523,6 +523,37 @@ func BenchmarkIABARTGenerate(b *testing.B) {
 	b.ReportMetric(float64(st.Calls-st0.Calls)/float64(b.N), "whatif-calls/op")
 }
 
+// BenchmarkRecommendWarm times one inference call of each trial-based -b
+// victim on a warm what-if cache, the work of an advisord recommend: every
+// trial restarts from one ∅ sweep, and every call is a cache hit.
+func BenchmarkRecommendWarm(b *testing.B) {
+	s := catalog.TPCH(1)
+	w := cost.NewWhatIf(cost.NewModel(s))
+	env := advisor.NewEnv(s, w)
+	nw := workload.GenerateNormal(s, workload.TPCHTemplates(), 18, rand.New(rand.NewSource(5)))
+	cfg := advisor.DefaultConfig()
+	cfg.Trajectories = 20
+	cfg.Hidden = 32
+	for _, name := range []string{"DQN-b", "DBAbandit-b"} {
+		b.Run(name, func(b *testing.B) {
+			ia, err := registry.New(name, env, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ia.Train(nw)
+			ia.Recommend(nw) // warm the cache
+			calls0, _ := w.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ia.Recommend(nw)
+			}
+			calls, _ := w.Stats()
+			b.ReportMetric(float64(calls-calls0)/float64(b.N), "whatif-calls/op")
+		})
+	}
+}
+
 func BenchmarkAdvisorTraining(b *testing.B) {
 	s := catalog.TPCH(1)
 	w := cost.NewWhatIf(cost.NewModel(s))

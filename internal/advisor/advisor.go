@@ -10,8 +10,9 @@
 package advisor
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -275,6 +276,14 @@ type Episode struct {
 // re-costed — the rest of the workload's costs carry over bit-identically.
 func (e *Env) NewEpisode(w *workload.Workload, budget int) *Episode {
 	episodesTotal.Inc()
+	return e.Start(w, budget)
+}
+
+// Start costs the workload under no indexes and returns the state every
+// rollout of it starts from, counted as no episode. Inference rolls each
+// trial trajectory from start.Restart(), so the ∅ sweep runs once per
+// Recommend instead of once per trial.
+func (e *Env) Start(w *workload.Workload, budget int) *Episode {
 	ep := &Episode{
 		env: e, w: w, budget: budget,
 		coster:    e.WhatIf.NewWorkloadCoster(w.Queries, w.Freqs),
@@ -292,6 +301,26 @@ func (e *Env) NewEpisode(w *workload.Workload, budget int) *Episode {
 		ep.freqTotal = 1
 	}
 	return ep
+}
+
+// Restart begins a new rollout of ep's workload and budget from no indexes.
+// It forks ep's coster (WorkloadCoster.Fork) and shares ep's no-index
+// costs, so it costs nothing until its first Step; every reward, cost and
+// reduction it yields has the bits a NewEpisode would give. Restart an
+// unstepped episode (from Start): a stepped one's fork is anchored at its
+// configuration, so the restart's first Step re-costs more queries.
+func (ep *Episode) Restart() *Episode {
+	episodesTotal.Inc()
+	return &Episode{
+		env: ep.env, w: ep.w, budget: ep.budget,
+		coster:    ep.coster.Fork(),
+		baseCost:  ep.baseCost,
+		curCost:   ep.baseCost,
+		perBase:   ep.perBase,
+		perCur:    slices.Clone(ep.perBase),
+		freqTotal: ep.freqTotal,
+		chosenSet: make(map[int]bool, ep.budget),
+	}
 }
 
 // Done reports whether the budget is exhausted.
@@ -372,18 +401,24 @@ func (ep *Episode) RandRemaining(mask []bool, rng *rand.Rand) int {
 // Signature returns a stable fingerprint of a workload (query texts and
 // frequencies). Trial-based advisors keep the best trajectory *per
 // workload*: the stored configuration applies only when inference sees the
-// same workload it was optimized for.
+// same workload it was optimized for. It is FNV-1a over each query's text
+// and its frequency as "|%.6f;".
 func Signature(w *workload.Workload) uint64 {
-	var h uint64 = 14695981039346656037
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
+	h := uint64(14695981039346656037)
+	buf := make([]byte, 0, 32)
 	for i, q := range w.Queries {
-		mix(q.String())
-		mix(fmt.Sprintf("|%.6f;", w.Freqs[i]))
+		h = fnv64(h, q.Fingerprint())
+		buf = append(strconv.AppendFloat(append(buf[:0], '|'), w.Freqs[i], 'f', 6, 64), ';')
+		h = fnv64(h, buf)
+	}
+	return h
+}
+
+// fnv64 continues the 64-bit FNV-1a state h over the bytes of s.
+func fnv64[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
 	}
 	return h
 }

@@ -148,7 +148,8 @@ func (bd *Bandit) CloneAdvisor() advisor.Advisor {
 	return c
 }
 
-// Recommend runs trial rounds with the trained reward model.
+// Recommend runs trial rounds with the trained reward model. Every round
+// restarts from one ∅ sweep.
 func (bd *Bandit) Recommend(w *workload.Workload) []cost.Index {
 	feats := bd.env.Featurize(w)
 	if len(bd.arms) == 0 {
@@ -157,13 +158,14 @@ func (bd *Bandit) Recommend(w *workload.Workload) []cost.Index {
 	}
 	contexts := bd.buildContexts(feats)
 	theta := bd.finalTheta()
+	start := bd.env.Start(w, bd.cfg.Budget)
+	scores := make([]float64, len(bd.arms))
 	trials := make([]advisor.Trial, 0, bd.cfg.InferTrajectories)
 	for t := 0; t < bd.cfg.InferTrajectories; t++ {
-		scores := make([]float64, len(bd.arms))
 		for i, x := range contexts {
 			scores[i] = dot(theta, x) + inferNoise*bd.rng.NormFloat64()
 		}
-		ep := bd.env.NewEpisode(w, bd.cfg.Budget)
+		ep := start.Restart()
 		for k := 0; k < bd.cfg.Budget; k++ {
 			bi := -1
 			for i := range scores {

@@ -206,7 +206,7 @@ func (d *DQN) trainOn(w *workload.Workload, anneal bool) {
 			if state == nil {
 				state = d.state(feats, ep)
 			}
-			action := d.chooseAction(state, ep, mask, eps)
+			action := d.chooseAction(state, ep, mask, eps, nil)
 			if action < 0 {
 				break
 			}
@@ -289,19 +289,21 @@ func (d *DQN) CloneAdvisor() advisor.Advisor {
 // candidate set is the one learned during (re)training — an injected
 // workload therefore widens the candidates the advisor may waste budget on,
 // the redirection channel PIPA exploits (§5) — intersected with nothing at
-// inference beyond the budget.
+// inference beyond the budget. Every trial restarts from one ∅ sweep, and
+// the call's own buffers hold each step's state and activations.
 func (d *DQN) Recommend(w *workload.Workload) []cost.Index {
 	feats := d.features(w)
 	mask := d.lastMask
 	if mask == nil {
 		mask = d.filter(w)
 	}
+	sc := d.newInference(feats)
+	start := d.env.Start(w, d.cfg.Budget)
 	trials := make([]advisor.Trial, 0, d.cfg.InferTrajectories)
 	for t := 0; t < d.cfg.InferTrajectories; t++ {
-		ep := d.env.NewEpisode(w, d.cfg.Budget)
+		ep := start.Restart()
 		for !ep.Done() {
-			state := d.state(feats, ep)
-			action := d.chooseAction(state, ep, mask, inferEpsilon)
+			action := d.chooseAction(sc.stateOf(ep), ep, mask, inferEpsilon, sc)
 			if action < 0 {
 				break
 			}
@@ -319,6 +321,38 @@ func (d *DQN) Recommend(w *workload.Workload) []cost.Index {
 		})
 	}
 	return advisor.SelectTrial(trials, d.cfg.Variant, d.cfg.MeanWindow)
+}
+
+// inference is one Recommend call's working memory: the state vector, whose
+// workload part holds still, the valid-action mask and the Q-network's
+// activations. Each call owns its own, so the network stays free of
+// per-call state (DESIGN.md §15.2).
+type inference struct {
+	state []float64
+	nfeat int
+	valid []bool
+	fwd   nn.Scratch
+}
+
+func (d *DQN) newInference(feats []float64) *inference {
+	sc := &inference{
+		state: make([]float64, len(feats)+d.env.L()),
+		nfeat: len(feats),
+		valid: make([]bool, d.env.L()),
+	}
+	copy(sc.state, feats)
+	return sc
+}
+
+// stateOf writes ep's configuration into the state vector and returns it:
+// the vector state(feats, ep) builds.
+func (sc *inference) stateOf(ep *advisor.Episode) []float64 {
+	cfg := sc.state[sc.nfeat:]
+	clear(cfg)
+	for _, c := range ep.Chosen() {
+		cfg[c] = 1
+	}
+	return sc.state
 }
 
 // ColumnPreferences implements advisor.Introspector for the clear-box P-C
@@ -346,22 +380,26 @@ func (d *DQN) state(feats []float64, ep *advisor.Episode) []float64 {
 	return append(append(make([]float64, 0, len(feats)+d.env.L()), feats...), ep.ConfigVector()...)
 }
 
-// chooseAction is ε-greedy over unmasked, unchosen columns.
-func (d *DQN) chooseAction(state []float64, ep *advisor.Episode, mask []bool, eps float64) int {
+// chooseAction is ε-greedy over unmasked, unchosen columns. The greedy pick
+// runs in sc's buffers; a nil sc allocates fresh ones, as training does on
+// every step.
+func (d *DQN) chooseAction(state []float64, ep *advisor.Episode, mask []bool, eps float64, sc *inference) int {
 	if d.rng.Float64() < eps {
 		return ep.RandRemaining(mask, d.rng)
 	}
-	q := d.net.Forward(state)
-	valid := make([]bool, d.env.L())
+	if sc == nil {
+		sc = &inference{valid: make([]bool, d.env.L())}
+	}
+	q := d.net.ForwardScratch(state, &sc.fwd)
 	any := false
-	for i := range valid {
-		valid[i] = (mask == nil || mask[i]) && !ep.ChosenSet(i)
-		any = any || valid[i]
+	for i := range sc.valid {
+		sc.valid[i] = (mask == nil || mask[i]) && !ep.ChosenSet(i)
+		any = any || sc.valid[i]
 	}
 	if !any {
 		return -1
 	}
-	return nn.Argmax(q, valid)
+	return nn.Argmax(q, sc.valid)
 }
 
 func (d *DQN) remember(tr transition) {

@@ -2,6 +2,8 @@ package cost
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -98,6 +100,36 @@ func (w *WhatIf) NewWorkloadCoster(queries []*sql.Query, freqs []float64) *Workl
 		c.refSets[i] = q.ReferencedColumnSet()
 	}
 	return c
+}
+
+// Fork opens a new session over c's workload that starts at c's anchor:
+// it shares the read-only workload and referenced-column sets, copies the
+// anchor's per-query costs, total and memoized base, and keeps its own
+// scratch and counters. A fork of a session anchored at ∅ stands where a
+// fresh session stands after its ∅ sweep, without repeating the sweep. Its
+// later sweeps return the bits a fresh session's would: the copied costs
+// are the values the shared cache returned for the anchor, and by the
+// soundness invariant (DESIGN.md §12.1) a delta from the anchor re-costs
+// every query a full sweep could cost differently.
+func (c *WorkloadCoster) Fork() *WorkloadCoster {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := &WorkloadCoster{
+		w:         c.w,
+		queries:   c.queries,
+		freqs:     c.freqs,
+		refSets:   c.refSets,
+		anchored:  c.anchored,
+		anchorKey: c.anchorKey,
+		anchor:    make(map[string]Index, max(len(c.anchor), 8)),
+		perCost:   slices.Clone(c.perCost),
+		total:     c.total,
+		baseValid: c.baseValid,
+		base:      c.base,
+		newKeys:   make(map[string]bool, 8),
+	}
+	maps.Copy(f.anchor, c.anchor)
+	return f
 }
 
 // Stats reports this session's delta counters.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sql"
 )
 
@@ -270,5 +272,71 @@ func TestInternedIndexesKeyMatchesIndexSet(t *testing.T) {
 		if got := internedIndexesKey(set); got != want {
 			t.Fatalf("internedIndexesKey(%v) = %q, want %q", set, got, want)
 		}
+	}
+}
+
+// TestCosterForkDifferential runs the same random walks twice, each time on
+// a cold oracle of its own: once from fresh sessions that sweep ∅ first,
+// as an episode does, and once from forks of one session anchored at ∅.
+// Every total and per-query cost must carry the same bits. The fork side
+// must end with the same entries and plans and exactly (walks−1)·|W| fewer
+// calls: the ∅ sweeps its forks skip.
+func TestCosterForkDifferential(t *testing.T) {
+	s := catalog.TPCH(1)
+	rng := rand.New(rand.NewSource(41))
+	queries, freqs := randomCosterWorkload(t, s, rng, 40)
+	cands := costerCandidates()
+	const walks, steps = 6, 15
+	sets := make([][][]Index, walks)
+	for i := range sets {
+		var cur []Index
+		for range steps {
+			cur = mutateSet(cur, cands, rng)
+			sets[i] = append(sets[i], slices.Clone(cur))
+		}
+	}
+
+	plans := obs.GetCounter("cost_plans_total")
+	run := func(fork bool) (bits []uint64, st CacheStats, planned int64) {
+		w := NewWhatIf(NewModel(s))
+		p0 := plans.Value()
+		per := make([]float64, len(queries))
+		var base *WorkloadCoster
+		if fork {
+			base = w.NewWorkloadCoster(queries, freqs)
+			base.CostPer(nil, per)
+		}
+		for _, walk := range sets {
+			var c *WorkloadCoster
+			if fork {
+				c = base.Fork()
+			} else {
+				c = w.NewWorkloadCoster(queries, freqs)
+				c.CostPer(nil, per)
+			}
+			for _, set := range walk {
+				bits = append(bits, math.Float64bits(c.CostPer(set, per)))
+				for _, v := range per {
+					bits = append(bits, math.Float64bits(v))
+				}
+			}
+		}
+		return bits, w.CacheStats(), plans.Value() - p0
+	}
+	freshBits, freshSt, freshPlans := run(false)
+	forkBits, forkSt, forkPlans := run(true)
+
+	if !slices.Equal(forkBits, freshBits) {
+		t.Fatal("a forked session's costs differ from a fresh session's")
+	}
+	if forkSt.Entries != freshSt.Entries || forkPlans != freshPlans {
+		t.Errorf("fork side: %d entries, %d plans; fresh side: %d entries, %d plans",
+			forkSt.Entries, forkPlans, freshSt.Entries, freshPlans)
+	}
+	if got, want := freshSt.Calls-forkSt.Calls, int64((walks-1)*len(queries)); got != want {
+		t.Errorf("forks saved %d calls, want (walks−1)·|W| = %d", got, want)
+	}
+	if got, want := freshSt.Hits-forkSt.Hits, int64((walks-1)*len(queries)); got != want {
+		t.Errorf("forks saved %d hits, want %d", got, want)
 	}
 }

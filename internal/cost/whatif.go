@@ -178,7 +178,7 @@ func (w *WhatIf) queryCost(q *sql.Query, indexes []Index, idxKey string) float64
 	// The key's parts are the query's cached fingerprint and the interned
 	// set key, so neither a hit nor a miss builds a key.
 	key := cacheKey{q.Fingerprint(), idxKey}
-	sh := &w.shards[shardOf(key)]
+	sh := &w.shards[shardAfter(q.FingerprintHash(), idxKey)]
 
 	w.calls.Add(1)
 	whatifCalls.Inc()
@@ -310,19 +310,15 @@ func (w *WhatIf) CacheStats() CacheStats {
 // shardOf hashes key.String() to its shard (FNV-1a, masked) without
 // building the string.
 func shardOf(key cacheKey) uint32 {
-	const offset32 = 2166136261
-	h := fnv1a(offset32, key.fp)
-	if key.set != "" {
-		h = fnv1a(fnv1a(h, "|"), key.set)
-	}
-	return h & (numShards - 1)
+	return shardAfter(sql.FNV1a(sql.FNVOffset, key.fp), key.set)
 }
 
-func fnv1a(h uint32, s string) uint32 {
-	const prime32 = 16777619
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
+// shardAfter is shardOf given fpHash, the FNV-1a state after the key's
+// fingerprint (sql.Query.FingerprintHash): it hashes only "|" and the set
+// key, so a lookup never walks the query text.
+func shardAfter(fpHash uint32, set string) uint32 {
+	if set != "" {
+		fpHash = sql.FNV1a(sql.FNV1a(fpHash, "|"), set)
 	}
-	return h
+	return fpHash & (numShards - 1)
 }

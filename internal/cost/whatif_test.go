@@ -205,3 +205,19 @@ func TestPlanDecisionCounters(t *testing.T) {
 		t.Fatalf("indexed plan did not count an index access path")
 	}
 }
+
+// TestShardAfterCachedHash checks that continuing a query's cached
+// fingerprint hash over the set key picks the shard shardOf picks for the
+// composite key, so the cached hash moved no entry to another shard.
+func TestShardAfterCachedHash(t *testing.T) {
+	s := catalog.TPCH(1)
+	q := whatifQuery(t, s, "SELECT l_partkey FROM lineitem WHERE l_quantity > 30 ORDER BY l_partkey")
+	for _, idx := range [][]Index{nil, {NewIndex("lineitem.l_partkey")},
+		{NewIndex("lineitem.l_partkey"), NewIndex("lineitem.l_quantity", "lineitem.l_partkey")}} {
+		set := internedIndexesKey(idx)
+		key := cacheKey{q.Fingerprint(), set}
+		if got, want := shardAfter(q.FingerprintHash(), set), shardOf(key); got != want {
+			t.Errorf("shardAfter(%q) = %d, shardOf = %d", key.String(), got, want)
+		}
+	}
+}

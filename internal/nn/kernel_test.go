@@ -528,6 +528,34 @@ func FuzzMLPKernel(f *testing.F) {
 	})
 }
 
+// TestForwardScratchMatchesForward pins ForwardScratch to Forward and the
+// dense reference, bit for bit, with one Scratch carried from pass to pass
+// across networks that grow and shrink it: nothing a pass leaves in the
+// Scratch may reach the next pass's output.
+func TestForwardScratchMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	acts := []Activation{Identity, ReLU, Tanh}
+	var s Scratch
+	shapes := [][]int{{305, 64, 61}, {3, 5}, {61, 64, 61}, {7, 23, 2, 9}, {305, 64, 61}}
+	for _, density := range []float64{0, 0.05, 0.3, 1} {
+		for _, sizes := range shapes {
+			n := NewMLP(rng, sizes, acts[rng.Intn(3)], acts[rng.Intn(3)])
+			for range 4 {
+				x := make([]float64, sizes[0])
+				for i := range x {
+					if rng.Float64() < density {
+						x[i] = kernelValue(rng)
+					}
+				}
+				c := kernelCase{sizes: sizes, density: density}
+				want, _ := denseForward(n, x)
+				mustSameBits(t, c, "Forward", n.Forward(x), want)
+				mustSameBits(t, c, "ForwardScratch", n.ForwardScratch(x, &s), want)
+			}
+		}
+	}
+}
+
 // setDispatch sends every kernel to its AVX2 form where the CPU has one
 // (avx2 true) or to its generic form (avx2 false), and returns the undo.
 // Tests that call it must not run in parallel.
@@ -552,6 +580,7 @@ func TestKernelsMatchDenseGeneric(t *testing.T) {
 		{"Batch", TestKernelsMatchDenseBatch},
 		{"AdvisorBatch", TestKernelsMatchDenseAdvisorBatch},
 		{"LongRun", TestKernelsMatchDenseLongRun},
+		{"ForwardScratch", TestForwardScratchMatchesForward},
 	} {
 		t.Run(tc.name, tc.run)
 	}

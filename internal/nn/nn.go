@@ -216,17 +216,45 @@ type tapeLayer struct {
 
 // Forward runs the network and returns the output (no tape). It writes
 // nothing into the network, so concurrent Forward calls may share one MLP
-// as long as nothing trains it meanwhile.
+// as long as nothing trains it meanwhile. Its buffers are allocated per
+// call; ForwardScratch runs in a caller's.
 func (n *MLP) Forward(x []float64) []float64 {
+	var s Scratch
+	return n.ForwardScratch(x, &s)
+}
+
+// Scratch is the caller-owned working memory of ForwardScratch: the input's
+// nonzero indices and every layer's activations. The zero value is ready;
+// after one pass it serves every later pass on networks of the same shape
+// without allocating.
+type Scratch struct {
+	nz  []int32
+	act []float64 // each layer's output, one after another
+}
+
+// ForwardScratch is Forward with its buffers in s: the output it returns is
+// a view of s, overwritten by the next pass on s. Like Forward it writes
+// nothing into the network, so concurrent calls with their own Scratch may
+// share one MLP. It gives the bits Forward gives.
+func (n *MLP) ForwardScratch(x []float64, s *Scratch) []float64 {
 	if len(x) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.InputSize()))
 	}
-	nz := make([]int32, 0, len(x))
-	cur := x
+	width, widest := 0, 0
 	for _, l := range n.layers {
-		nz = nonzeros(nz[:0], cur)
-		out := append([]float64(nil), l.b...)
-		affine(out, l.w, cur, nz)
+		width, widest = width+l.out, max(widest, l.in)
+	}
+	s.act = resize(s.act, width)
+	if cap(s.nz) < widest {
+		s.nz = make([]int32, 0, widest)
+	}
+	cur, act := x, s.act
+	for _, l := range n.layers {
+		s.nz = nonzeros(s.nz[:0], cur)
+		out := act[:l.out:l.out]
+		act = act[l.out:]
+		copy(out, l.b)
+		affine(out, l.w, cur, s.nz)
 		for o, p := range out {
 			out[o] = l.act.apply(p)
 		}

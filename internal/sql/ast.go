@@ -166,6 +166,9 @@ type Query struct {
 	// downstream (costing, memoization) treats a resolved query as immutable,
 	// so the cached text stays valid. Clone deliberately drops it.
 	fp string
+	// fpHash is the FNV-1a state after fp's bytes, set and dropped with fp,
+	// so the what-if cache's shard hash never walks the text again.
+	fpHash uint32
 
 	// refCols / refSet cache ReferencedColumns and its interned bitset, set
 	// by Resolve under the same immutability contract as fp. The planner's
@@ -235,6 +238,31 @@ func (q *Query) Fingerprint() string {
 		return q.fp
 	}
 	return q.String()
+}
+
+// FingerprintHash returns the 32-bit FNV-1a hash of Fingerprint: the state
+// cached by Resolve when available, computed afresh otherwise (never
+// stored, like an unresolved query's fingerprint). The what-if cache
+// continues it over the index-set part of its key.
+func (q *Query) FingerprintHash() uint32 {
+	if q.fp != "" {
+		return q.fpHash
+	}
+	return FNV1a(FNVOffset, q.String())
+}
+
+// FNVOffset is the 32-bit FNV-1a offset basis, the state of the empty
+// string.
+const FNVOffset uint32 = 2166136261
+
+// FNV1a continues the 32-bit FNV-1a state h over the bytes of s.
+func FNV1a(h uint32, s string) uint32 {
+	const prime32 = 16777619
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= prime32
+	}
+	return h
 }
 
 // FilterColumns returns the distinct qualified columns referenced by WHERE

@@ -98,11 +98,12 @@ func Resolve(q *Query, s *catalog.Schema) error {
 		q.OrderBy[i].Column = c
 	}
 	// The query is now in its final, fully qualified form: cache the
-	// canonical rendering so hot paths (what-if memoization) never re-render,
-	// and the referenced-column list and its interned bitset so the planner's
+	// canonical rendering and its hash so hot paths (what-if memoization)
+	// never re-render or re-hash it, and the referenced-column list and its interned bitset so the planner's
 	// covering test and the delta coster's intersection filter never
 	// recompute them per plan.
 	q.fp = q.String()
+	q.fpHash = FNV1a(FNVOffset, q.fp)
 	q.refCols = q.ReferencedColumns()
 	q.refSet = ColSetOf(q.refCols...)
 	return nil

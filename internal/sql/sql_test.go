@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -229,5 +230,55 @@ func TestLexerPositions(t *testing.T) {
 		if toks[i].Pos != w {
 			t.Errorf("token %d pos = %d, want %d", i, toks[i].Pos, w)
 		}
+	}
+}
+
+// fnvOf is the reference 32-bit FNV-1a hash of s.
+func fnvOf(s string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(s))
+	return h.Sum32()
+}
+
+// TestFingerprintHash checks the FNV-1a state cached next to the
+// fingerprint: Resolve sets it, Clone drops it with the fingerprint, an
+// unresolved query hashes its current text, and two parses of one text
+// agree.
+func TestFingerprintHash(t *testing.T) {
+	s := catalog.TPCH(1)
+	const src = "SELECT l_partkey, SUM(l_quantity) FROM lineitem WHERE l_quantity > 30 GROUP BY l_partkey"
+	a, err := ParseResolved(src, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.fp == "" || a.fpHash != fnvOf(a.fp) || a.FingerprintHash() != fnvOf(a.Fingerprint()) {
+		t.Fatalf("resolved: fpHash %d, want FNV-1a(%q) = %d", a.fpHash, a.fp, fnvOf(a.fp))
+	}
+	b, err := ParseResolved(src, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.FingerprintHash() != a.FingerprintHash() {
+		t.Error("two parses of one text hash differently")
+	}
+
+	c := a.Clone()
+	if c.fp != "" || c.fpHash != 0 {
+		t.Fatalf("Clone kept fp %q, fpHash %d", c.fp, c.fpHash)
+	}
+	c.Limit = 7 // an unresolved query may still change
+	if got, want := c.FingerprintHash(), fnvOf(c.String()); got != want || got == a.FingerprintHash() {
+		t.Errorf("clone hash = %d, want FNV-1a of its current text %d", got, want)
+	}
+	if c.fpHash != 0 {
+		t.Error("FingerprintHash stored a hash on an unresolved query")
+	}
+
+	u, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := u.FingerprintHash(), fnvOf(u.String()); got != want {
+		t.Errorf("unresolved hash = %d, want %d", got, want)
 	}
 }
